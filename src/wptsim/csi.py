@@ -43,9 +43,12 @@ class CsiConfig:
         if self.noise_variance < 0:
             raise ValueError("noise_variance must be >= 0")
         if self.quant_bits_per_component is not None and (
-            self.quant_bits_per_component < 1
+            self.quant_bits_per_component < 2
         ):
-            raise ValueError("quant_bits_per_component must be >= 1 (or None)")
+            raise ValueError(
+                "quant_bits_per_component must be >= 2 (or None): one bit "
+                "rounds every component to zero"
+            )
         if not self.frame_length > 0:
             raise ValueError("frame_length must be positive")
         if not 0 < self.acquisition_time < self.frame_length:
@@ -85,8 +88,11 @@ def quantize_csi(h: np.ndarray, bits_per_component: int) -> np.ndarray:
     representable and no component moves by more than half a step.  An
     all-zero matrix is returned unchanged.
     """
-    if bits_per_component < 1:
-        raise ValueError("bits_per_component must be >= 1")
+    if bits_per_component < 2:
+        raise ValueError(
+            "bits_per_component must be >= 2: one bit rounds every "
+            "component to zero"
+        )
     h = np.asarray(h, dtype=np.complex128)
     if not np.all(np.isfinite(h)):
         raise ValueError("h entries must be finite")

@@ -91,8 +91,8 @@ class ExperimentConfig:
             problems.append("antennas: antenna counts must be >= 1")
         if not self.distances:
             problems.append("distances: must list at least one distance")
-        if any(d <= 0 for d in self.distances):
-            problems.append("distances: distances must be positive")
+        if not all(0 < d < np.inf for d in self.distances):
+            problems.append("distances: distances must be positive and finite")
         if self.realizations < 1:
             problems.append("realizations: must be >= 1")
         if self.seed < 0:
@@ -105,6 +105,16 @@ class ExperimentConfig:
             problems.append("f0: must be positive")
         if not self.band_limit > 0:
             problems.append("band_limit: must be positive")
+        elif (
+            self.f0 > 0
+            and max(self.tone_counts, default=1) > 1
+            and not self.band_limit < 2 * self.f0
+        ):
+            problems.append(
+                "f0/band_limit: a multi-tone band must be narrower than 2*f0; "
+                "wider combs beat three-tone sums to DC, which the closed-form "
+                "rectifier moments omit"
+            )
         if problems:
             raise ValueError("invalid experiment config: " + "; ".join(problems))
 

@@ -3,9 +3,10 @@
 The harvested DC quantity is a truncated polynomial of the received signal:
 a second-order term proportional to the time-average of y(t)^2 and a
 fourth-order term proportional to the time-average of y(t)^4.  For a
-multisine on an evenly spaced tone grid both averages have exact closed
-forms in the per-tone complex amplitudes; `z_dc_time_oracle` recomputes
-them by brute-force time sampling as an independent check.
+multisine on an evenly spaced tone grid narrower than twice its base
+frequency both averages have exact closed forms in the per-tone complex
+amplitudes; `z_dc_time_oracle` recomputes them by brute-force time sampling
+as an independent check.
 """
 
 from __future__ import annotations
@@ -60,6 +61,13 @@ class ReceivedTones:
             )
         if not np.all(np.isfinite(a)):
             raise ValueError("a entries must be finite")
+        occupied = (self.grid.n_tones - 1) * self.grid.delta_f
+        if not occupied < 2.0 * self.grid.f0:
+            raise ValueError(
+                f"occupied bandwidth {occupied:g} Hz must stay below 2*f0 = "
+                f"{2.0 * self.grid.f0:g} Hz (f0/band_limit): wider combs beat "
+                "three-tone sums to DC, which the closed-form moments omit"
+            )
         a.flags.writeable = False
         object.__setattr__(self, "a", a)
 
@@ -81,56 +89,25 @@ def received_tones(
     return ReceivedTones(a=a, grid=weights.grid)
 
 
-_QUADRUPLE_CACHE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
-def _resonant_quadruples(n: int):
-    """Index quadruples (n0, n1, n2, n3) with n0 + n1 == n2 + n3.
-
-    Enumerates the (n0, n1, n2) triples and solves n3 implicitly; the index
-    arrays are cached per tone count so repeated evaluation stays cheap.
-    """
-    cached = _QUADRUPLE_CACHE.get(n)
-    if cached is None:
-        i0, i1, i2, i3 = [], [], [], []
-        for n0 in range(n):
-            for n1 in range(n):
-                for n2 in range(n):
-                    n3 = n0 + n1 - n2
-                    if 0 <= n3 < n:
-                        i0.append(n0)
-                        i1.append(n1)
-                        i2.append(n2)
-                        i3.append(n3)
-        cached = tuple(np.asarray(ix, dtype=np.intp) for ix in (i0, i1, i2, i3))
-        _QUADRUPLE_CACHE[n] = cached
-    return cached
-
-
 def moment2(tones: ReceivedTones) -> float:
     """Time-average of y(t)^2: half the summed tone powers."""
     return float(np.sum(np.abs(tones.a) ** 2)) / 2.0
 
 
-def resonant_quadruple_sum(tones: ReceivedTones) -> complex:
-    """sum a_n0 a_n1 conj(a_n2) conj(a_n3) over quadruples with n0+n1 = n2+n3.
-
-    The sum is Hermitian-symmetric, so its imaginary part is zero up to
-    rounding; `moment4` keeps the real part.
-    """
-    i0, i1, i2, i3 = _resonant_quadruples(tones.n_tones)
-    a = tones.a
-    return complex(np.sum(a[i0] * a[i1] * np.conj(a[i2]) * np.conj(a[i3])))
-
-
 def moment4(tones: ReceivedTones) -> float:
-    """Time-average of y(t)^4: (3/8) times the resonant quadruple sum.
+    """Time-average of y(t)^4: (3/8) sum_k |c_k|^2 with c = a * a.
 
     Only quadruples of tone indices with n0 + n1 = n2 + n3 survive time
-    averaging on an evenly spaced grid; every one of them beats to DC and
-    contributes with weight 3/8.
+    averaging on an evenly spaced grid narrower than 2 f0, each contributing
+    with weight 3/8.  Grouping them by k = n0 + n1 turns their sum into the
+    energy of the autoconvolution c_k = sum_{n0+n1=k} a_n0 a_n1:
+
+        sum_{n0+n1=n2+n3} a_n0 a_n1 conj(a_n2) conj(a_n3) = sum_k |c_k|^2,
+
+    which is real and non-negative by construction.
     """
-    return 0.375 * resonant_quadruple_sum(tones).real
+    c = np.convolve(tones.a, tones.a)
+    return 0.375 * float(np.vdot(c, c).real)
 
 
 def z_dc(tones: ReceivedTones, params: RectifierParams) -> float:

@@ -111,6 +111,23 @@ class TestSweepAndCdf:
         assert cli.main(["sweep", "--scheme", "bogus"]) == 1
         assert "bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "lines, key",
+        [
+            ("distances = nan\n", "distances"),
+            ("distances = inf\n", "distances"),
+            ("csi_enabled = true\nquant_bits = 1\n", "quant_bits"),
+            ("f0 = 1e6\nband_limit = 10e6\n", "f0/band_limit"),
+        ],
+    )
+    def test_rejected_config_names_key(self, tmp_path, capsys, lines, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("realizations = 1\n" + lines)
+        assert cli.main(["sweep", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert key in captured.err
+        assert captured.out == ""
+
 
 class TestFitAndRange:
     def test_fit_report(self, measurements_csv, capsys):

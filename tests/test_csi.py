@@ -30,6 +30,7 @@ class TestConfig:
             dict(acquisition_time=0.0),
             dict(acquisition_time=1.0),
             dict(frame_length=0.0),
+            dict(quant_bits_per_component=1),
         ],
     )
     def test_rejects_bad_settings(self, kwargs):
@@ -87,7 +88,7 @@ class TestQuantizer:
 
     def test_error_bounded_by_half_step(self):
         rng = make_rng(3)
-        for bits in (1, 3, 8):
+        for bits in (2, 3, 8):
             h = complex_normal(rng, (6, 4))
             x = max(np.max(np.abs(h.real)), np.max(np.abs(h.imag)))
             step = 2 * x / (2**bits - 1)
@@ -120,6 +121,8 @@ class TestQuantizer:
     def test_rejects_bad_bits(self):
         with pytest.raises(ValueError):
             quantize_csi(np.ones((1, 1), dtype=complex), 0)
+        with pytest.raises(ValueError, match="zero"):
+            quantize_csi(np.ones((1, 1), dtype=complex), 1)
 
 
 class TestFrameLoop:

@@ -50,11 +50,21 @@ class TestConfigValidation:
         assert "schemes" in message
         assert "realizations" in message
         assert "distances" in message
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="distances"):
+                ExperimentConfig(distances=(1.0, bad)).validate()
 
     def test_mrt_multitone_rejected(self):
         cfg = ExperimentConfig(schemes=("mrt",), tone_counts=(1, 8))
         with pytest.raises(ValueError, match="mrt requires n_tones = 1"):
             cfg.validate()
+
+    def test_band_wider_than_twice_f0_rejected(self):
+        cfg = ExperimentConfig(f0=1e6, band_limit=10e6)
+        with pytest.raises(ValueError, match="f0/band_limit"):
+            cfg.validate()
+        # A single tone occupies no bandwidth, so any band limit is fine.
+        replace(cfg, tone_counts=(1,)).validate()
 
     def test_grid_uses_band_limit(self):
         grid = ExperimentConfig().grid_for(8)

@@ -4,6 +4,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wptsim.channel import ChannelRealization, complex_normal, make_rng
 from wptsim.rectifier import (
@@ -13,7 +15,6 @@ from wptsim.rectifier import (
     moment2,
     moment4,
     received_tones,
-    resonant_quadruple_sum,
     scaling_law_ca,
     scaling_law_cw,
     z_dc,
@@ -43,6 +44,15 @@ def moment4_exhaustive(a):
     return 0.375 * total.real
 
 
+# Zero or a magnitude in [1e-3, 1e3]: keeps fourth powers clear of underflow.
+tone_amplitudes = st.one_of(
+    st.just(0j),
+    st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3),
+)
+tone_vectors = st.lists(tone_amplitudes, min_size=1, max_size=10)
+nonzero_factors = st.complex_numbers(min_magnitude=1e-2, max_magnitude=1e2)
+
+
 class TestParams:
     @pytest.mark.parametrize("kwargs", [dict(k2=0.0), dict(k4=-1.0), dict(r_ant=0.0)])
     def test_rejects_non_positive(self, kwargs):
@@ -59,6 +69,13 @@ class TestReceivedTones:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             make_tones([np.inf + 0j])
+
+    def test_band_wider_than_twice_f0_rejected(self):
+        # 10 tones 1 MHz apart span 9 MHz >= 2 * 4 MHz: three-tone sums
+        # such as f0 + f0 + f0 - (f0 + 8 df) beat to DC.
+        with pytest.raises(ValueError, match="f0"):
+            make_tones(np.ones(10), f0=4e6, delta_f=1e6)
+        make_tones(np.ones(9), f0=4.5e6, delta_f=1e6)  # 8 MHz < 9 MHz: accepted
 
     def test_combining_with_path_loss(self):
         grid = ToneGrid.for_band(1)
@@ -94,10 +111,10 @@ class TestMoments:
     def test_moment4_four_unit_tones(self):
         assert moment4(make_tones(np.ones(4))) == pytest.approx(16.5, rel=1e-12)
 
-    @pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
+    @pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 128, 512])
     def test_in_phase_closed_form(self, n):
         # Equal unit amplitudes with aligned phases: (2 n^3 + n) / 8.
-        got = moment4(make_tones(np.ones(n)))
+        got = moment4(make_tones(np.ones(n), f0=4096e6))
         assert got == pytest.approx((2 * n**3 + n) / 8.0, rel=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12])
@@ -110,12 +127,28 @@ class TestMoments:
                 moment4_exhaustive(a), rel=1e-12, abs=1e-15
             )
 
-    def test_quadruple_sum_is_real(self):
-        rng = make_rng(200)
-        for _ in range(50):
-            a = complex_normal(rng, 9)
-            s = resonant_quadruple_sum(make_tones(a))
-            assert abs(s.imag) <= 1e-12 * max(abs(s.real), 1.0)
+    @settings(deadline=None, max_examples=50)
+    @given(a=tone_vectors)
+    def test_property_matches_exhaustive_enumeration(self, a):
+        a = np.asarray(a, dtype=np.complex128)
+        scale = float(np.sum(np.abs(a) ** 2)) ** 2
+        assert moment4(make_tones(a)) == pytest.approx(
+            moment4_exhaustive(a), rel=1e-12, abs=1e-12 * scale
+        )
+
+    @given(a=tone_vectors, theta=st.floats(-10.0, 10.0))
+    def test_property_common_phase_invariance(self, a, theta):
+        a = np.asarray(a, dtype=np.complex128)
+        base = moment4(make_tones(a))
+        rotated = moment4(make_tones(np.exp(1j * theta) * a))
+        assert rotated == pytest.approx(base, rel=1e-11)
+
+    @given(a=tone_vectors, c=nonzero_factors)
+    def test_property_quartic_scaling(self, a, c):
+        a = np.asarray(a, dtype=np.complex128)
+        base = moment4(make_tones(a))
+        scaled = moment4(make_tones(c * a))
+        assert scaled == pytest.approx(abs(c) ** 4 * base, rel=1e-11)
 
     def test_scale_homogeneity(self):
         rng = make_rng(201)
@@ -164,6 +197,13 @@ class TestTimeOracle:
             z_ref = z_dc_time_oracle(tones, PARAMS)
             worst = max(worst, abs(z - z_ref) / abs(z_ref))
         assert worst <= 1e-10
+
+    def test_agrees_at_512_tones(self):
+        rng = make_rng(301)
+        a = complex_normal(rng, 512) * 0.3 / np.sqrt(512)
+        tones = make_tones(a, f0=1024e6, delta_f=1e6)
+        z = z_dc(tones, PARAMS)
+        assert z == pytest.approx(z_dc_time_oracle(tones, PARAMS), rel=1e-8)
 
     def test_more_samples_change_nothing(self):
         tones = make_tones([0.2 + 0.1j, -0.1 + 0.3j], f0=20e6, delta_f=1e6)
@@ -229,11 +269,11 @@ class TestScalingLaws:
             call()
 
 
-class TestQuadrupleEnumerationSpeed:
+class TestMoment4Speed:
     def test_moment4_is_fast_after_warmup(self):
         rng = make_rng(400)
         tones = make_tones(complex_normal(rng, 16))
-        moment4(tones)  # populate the index cache
+        moment4(tones)  # warm up numpy's convolution path before timing
         t0 = time.perf_counter()
         for _ in range(100):
             moment4(tones)
