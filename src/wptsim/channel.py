@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import ToneGrid
+from .signals import ToneGrid, entries_from_json, entries_to_json, read_field
 
 FREQUENCY_FLAT = "frequency_flat"
 TAPPED_DELAY = "tapped_delay"
@@ -183,57 +183,32 @@ def channel_to_json(channel: ChannelRealization) -> dict:
         "distance": channel.distance,
         "n_tones": channel.n_tones,
         "m_antennas": channel.m_antennas,
-        "entries": [
-            {
-                "tone": int(n),
-                "antenna": int(m),
-                "real": float(channel.h[n, m].real),
-                "imag": float(channel.h[n, m].imag),
-            }
-            for n in range(channel.n_tones)
-            for m in range(channel.m_antennas)
-        ],
+        "entries": entries_to_json(channel.h),
     }
 
 
 def channel_from_json(data: dict) -> ChannelRealization:
-    n_tones = int(data["n_tones"])
-    m_antennas = int(data["m_antennas"])
-    h = np.zeros((n_tones, m_antennas), dtype=np.complex128)
-    seen = np.zeros(h.shape, dtype=bool)
-    for e in data["entries"]:
-        n, m = int(e["tone"]), int(e["antenna"])
-        if not (0 <= n < n_tones and 0 <= m < m_antennas):
-            raise ValueError(f"entry index ({n}, {m}) out of range")
-        h[n, m] = float(e["real"]) + 1j * float(e["imag"])
-        seen[n, m] = True
-    if not seen.all():
-        raise ValueError("channel file is missing tone/antenna entries")
+    dims = read_field(data, "n_tones", int), read_field(data, "m_antennas", int)
     return ChannelRealization(
-        h=h, path_loss=float(data["path_loss"]), distance=float(data["distance"])
+        h=entries_from_json(data.get("entries"), *dims),
+        path_loss=read_field(data, "path_loss"),
+        distance=read_field(data, "distance"),
     )
 
 
 def save_channel_csv(channel: ChannelRealization, path: str) -> None:
     """Write `tone,antenna,real,imag,path_loss,distance` rows (full precision)."""
+    tail = [format(channel.path_loss, ".17g"), format(channel.distance, ".17g")]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_CHANNEL_FIELDS)
-        for n in range(channel.n_tones):
-            for m in range(channel.m_antennas):
-                writer.writerow(
-                    [
-                        n,
-                        m,
-                        format(channel.h[n, m].real, ".17g"),
-                        format(channel.h[n, m].imag, ".17g"),
-                        format(channel.path_loss, ".17g"),
-                        format(channel.distance, ".17g"),
-                    ]
-                )
+        for e in entries_to_json(channel.h):
+            parts = [format(e["real"], ".17g"), format(e["imag"], ".17g")]
+            writer.writerow([e["tone"], e["antenna"], *parts, *tail])
 
 
 def load_channel_csv(path: str) -> ChannelRealization:
+    """Inverse of `save_channel_csv`; all rows share one path loss and distance."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != _CHANNEL_FIELDS:
@@ -243,16 +218,16 @@ def load_channel_csv(path: str) -> ChannelRealization:
         rows = list(reader)
     if not rows:
         raise ValueError("channel CSV holds no rows")
-    n_tones = 1 + max(int(r["tone"]) for r in rows)
-    m_antennas = 1 + max(int(r["antenna"]) for r in rows)
-    data = {
-        "path_loss": float(rows[0]["path_loss"]),
-        "distance": float(rows[0]["distance"]),
-        "n_tones": n_tones,
-        "m_antennas": m_antennas,
-        "entries": rows,
-    }
-    return channel_from_json(data)
+    channel = ChannelRealization(
+        h=entries_from_json(rows),
+        path_loss=read_field(rows[0], "path_loss"),
+        distance=read_field(rows[0], "distance"),
+    )
+    for i, row in enumerate(rows):
+        for key in ("path_loss", "distance"):
+            if read_field(row, key) != getattr(channel, key):
+                raise ValueError(f"entries[{i}]: {key!r} differs from the first row")
+    return channel
 
 
 def save_channel(channel: ChannelRealization, path: str) -> None:

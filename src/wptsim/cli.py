@@ -50,23 +50,21 @@ def _write_output(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
+# (flag, config key) of each experiment flag that overrides a config file key
+_FLAG_KEYS = (
+    ("scheme", "schemes"), ("tones", "tones"), ("antennas", "antennas"),
+    ("beta", "beta"), ("realizations", "realizations"), ("seed", "seed"),
+    ("out", "out"),
+)
+
+
 def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     """Config file first, then flag overrides (flags win)."""
     mapping = load_config_file(args.config) if args.config else {}
-    if args.scheme is not None:
-        mapping["schemes"] = args.scheme
-    if args.tones is not None:
-        mapping["tones"] = args.tones
-    if args.antennas is not None:
-        mapping["antennas"] = args.antennas
-    if args.beta is not None:
-        mapping["beta"] = repr(args.beta)
-    if args.realizations is not None:
-        mapping["realizations"] = str(args.realizations)
-    if args.seed is not None:
-        mapping["seed"] = str(args.seed)
-    if args.out is not None:
-        mapping["out"] = args.out
+    for flag, key in _FLAG_KEYS:
+        value = getattr(args, flag)
+        if value is not None:
+            mapping[key] = str(value)
     return config_from_mapping(mapping)
 
 

@@ -419,20 +419,24 @@ def paper_check(p_target: float = 2.0) -> PaperCheckReport:
 
 # --- configuration files ---------------------------------------------------
 
-_LIST_KEYS = {"schemes", "tones", "antennas", "distances"}
-
 
 def parse_config_text(text: str) -> dict[str, str]:
-    """Parse `key = value` lines; '#' starts a comment, blanks are skipped."""
+    """Parse `key = value` lines; '#' starts a comment, a repeated key fails."""
     values: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ValueError(f"config line {lineno}: expected key = value, got {raw!r}")
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key in first_line:
+            raise ValueError(
+                f"config line {lineno}: key {key!r} repeats line {first_line[key]}"
+            )
+        first_line[key] = lineno
+        values[key] = value
     return values
 
 
@@ -441,107 +445,84 @@ def load_config_file(path: str) -> dict[str, str]:
         return parse_config_text(fh.read())
 
 
-def _parse_bool(key: str, value: str) -> bool:
+def _parse_bool(value: str) -> bool:
     lowered = value.lower()
     if lowered in ("1", "true", "yes", "on"):
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise ValueError(f"{key}: expected a boolean, got {value!r}")
+    raise ValueError(f"expected a boolean, got {value!r}")
 
 
-def _split_list(value: str) -> list[str]:
-    return [item.strip() for item in value.split(",") if item.strip()]
+def _parse_channel_kind(value: str) -> str:
+    if value not in CHANNEL_KINDS:
+        raise ValueError(f"must be one of {CHANNEL_KINDS}")
+    return value
+
+
+def _list_of(kind):
+    """Parser of a comma-separated list; empty items are skipped."""
+    return lambda value: tuple(
+        kind(item.strip()) for item in value.split(",") if item.strip()
+    )
+
+
+# config key -> (section, field, parser).  A section other than "experiment"
+# names the ExperimentConfig field holding that sub-config; csi "enabled" only
+# switches CSI modelling on.
+CONFIG_KEYS = {
+    "schemes": ("experiment", "schemes", _list_of(str)),
+    "tones": ("experiment", "tone_counts", _list_of(int)),
+    "antennas": ("experiment", "antenna_counts", _list_of(int)),
+    "distances": ("experiment", "distances", _list_of(float)),
+    "realizations": ("experiment", "realizations", int),
+    "seed": ("experiment", "seed", int),
+    "power_budget": ("experiment", "power_budget", float),
+    "beta": ("experiment", "beta", float),
+    "f0": ("experiment", "f0", float),
+    "band_limit": ("experiment", "band_limit", float),
+    "out": ("experiment", "out_path", str),
+    "channel_kind": ("channel_model", "kind", _parse_channel_kind),
+    "n_taps": ("channel_model", "n_taps", int),
+    "delay_spread": ("channel_model", "delay_spread", float),
+    "pdp_decay": ("channel_model", "pdp_decay", float),
+    "path_loss_ref": ("channel_model", "path_loss_ref", float),
+    "path_loss_exponent": ("channel_model", "path_loss_exponent", float),
+    "k2": ("rectifier", "k2", float),
+    "k4": ("rectifier", "k4", float),
+    "r_ant": ("rectifier", "r_ant", float),
+    "csi_enabled": ("csi", "enabled", _parse_bool),
+    "pilot_amplitude": ("csi", "pilot_amplitude", float),
+    "noise_variance": ("csi", "noise_variance", float),
+    "quant_bits": ("csi", "quant_bits_per_component", int),
+    "frame_length": ("csi", "frame_length", float),
+    "acquisition_time": ("csi", "acquisition_time", float),
+    "account_acquisition_time": ("csi", "account_acquisition_time", _parse_bool),
+}
 
 
 def config_from_mapping(values: dict[str, str]) -> ExperimentConfig:
-    """Build an ExperimentConfig from string key/value pairs.
+    """Build an ExperimentConfig from string key/value pairs via `CONFIG_KEYS`.
 
     Unknown keys are rejected by name; type errors name the offending key.
     Numeric validation beyond parsing happens in `ExperimentConfig.validate`.
     """
-    cfg = ExperimentConfig()
-    model = cfg.channel_model
-    rect = cfg.rectifier
-    csi_fields: dict[str, object] = {}
-    csi_enabled = False
-    updates: dict[str, object] = {}
-
-    def parse(key: str, raw: str, kind):
+    sections = {s: {} for s in ("experiment", "channel_model", "rectifier", "csi")}
+    for key, raw in values.items():
+        if key not in CONFIG_KEYS:
+            raise ValueError(f"unknown config key {key!r}")
+        section, name, parse = CONFIG_KEYS[key]
         try:
-            return kind(raw)
+            sections[section][name] = parse(raw)
         except ValueError as exc:
             raise ValueError(f"{key}: {exc}") from None
 
-    for key, raw in values.items():
-        if key == "schemes":
-            updates["schemes"] = tuple(_split_list(raw))
-        elif key == "tones":
-            updates["tone_counts"] = tuple(
-                parse(key, item, int) for item in _split_list(raw)
-            )
-        elif key == "antennas":
-            updates["antenna_counts"] = tuple(
-                parse(key, item, int) for item in _split_list(raw)
-            )
-        elif key == "distances":
-            updates["distances"] = tuple(
-                parse(key, item, float) for item in _split_list(raw)
-            )
-        elif key == "realizations":
-            updates["realizations"] = parse(key, raw, int)
-        elif key == "seed":
-            updates["seed"] = parse(key, raw, int)
-        elif key == "power_budget":
-            updates["power_budget"] = parse(key, raw, float)
-        elif key == "beta":
-            updates["beta"] = parse(key, raw, float)
-        elif key == "f0":
-            updates["f0"] = parse(key, raw, float)
-        elif key == "band_limit":
-            updates["band_limit"] = parse(key, raw, float)
-        elif key == "out":
-            updates["out_path"] = raw
-        elif key == "channel_kind":
-            if raw not in CHANNEL_KINDS:
-                raise ValueError(f"channel_kind: must be one of {CHANNEL_KINDS}")
-            model = replace(model, kind=raw)
-        elif key == "n_taps":
-            model = replace(model, n_taps=parse(key, raw, int))
-        elif key == "delay_spread":
-            model = replace(model, delay_spread=parse(key, raw, float))
-        elif key == "pdp_decay":
-            model = replace(model, pdp_decay=parse(key, raw, float))
-        elif key == "path_loss_ref":
-            model = replace(model, path_loss_ref=parse(key, raw, float))
-        elif key == "path_loss_exponent":
-            model = replace(model, path_loss_exponent=parse(key, raw, float))
-        elif key == "k2":
-            rect = replace(rect, k2=parse(key, raw, float))
-        elif key == "k4":
-            rect = replace(rect, k4=parse(key, raw, float))
-        elif key == "r_ant":
-            rect = replace(rect, r_ant=parse(key, raw, float))
-        elif key == "csi_enabled":
-            csi_enabled = _parse_bool(key, raw)
-        elif key == "pilot_amplitude":
-            csi_fields["pilot_amplitude"] = parse(key, raw, float)
-        elif key == "noise_variance":
-            csi_fields["noise_variance"] = parse(key, raw, float)
-        elif key == "quant_bits":
-            csi_fields["quant_bits_per_component"] = parse(key, raw, int)
-        elif key == "frame_length":
-            csi_fields["frame_length"] = parse(key, raw, float)
-        elif key == "acquisition_time":
-            csi_fields["acquisition_time"] = parse(key, raw, float)
-        elif key == "account_acquisition_time":
-            csi_fields["account_acquisition_time"] = _parse_bool(key, raw)
-        else:
-            raise ValueError(f"unknown config key {key!r}")
-
-    updates["channel_model"] = model
-    updates["rectifier"] = rect
-    if csi_enabled:
+    cfg = ExperimentConfig()
+    updates = sections["experiment"]
+    updates["channel_model"] = replace(cfg.channel_model, **sections["channel_model"])
+    updates["rectifier"] = replace(cfg.rectifier, **sections["rectifier"])
+    csi_fields = sections["csi"]
+    if csi_fields.pop("enabled", False):
         updates["csi"] = CsiConfig(**csi_fields)
     elif csi_fields:
         raise ValueError(

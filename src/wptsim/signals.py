@@ -8,8 +8,10 @@ rectifier expressions.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -161,6 +163,72 @@ def received_signal(weights: PrecoderWeights, channel: "ChannelRealization", t):
     return float(y[0]) if scalar else y
 
 
+def read_field(record, key: str, kind: type = float, default=None):
+    """record[key] as a float or an int, from a JSON value or CSV text.
+
+    Raises ValueError naming the key in place of KeyError or TypeError, and
+    for a fraction or a boolean where an integer is asked for.
+    """
+    if not isinstance(record, dict):
+        raise ValueError(f"expected a JSON object holding {key!r}")
+    value = record.get(key, default)
+    if value is None:
+        raise ValueError(f"{key!r} is missing")
+    try:
+        if kind is float:
+            return float(value)
+        if not isinstance(value, bool):
+            return int(value) if isinstance(value, str) else operator.index(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    expected = "a number" if kind is float else "an integer"
+    raise ValueError(f"{key!r} must be {expected}, got {value!r:.40}")
+
+
+def entries_to_json(matrix: np.ndarray) -> list[dict]:
+    """One {tone, antenna, real, imag} entry per element, in row-major order."""
+    return [
+        {"tone": n, "antenna": m, "real": float(v.real), "imag": float(v.imag)}
+        for (n, m), v in np.ndenumerate(matrix)
+    ]
+
+
+def entries_from_json(entries, n_tones=None, m_antennas=None) -> np.ndarray:
+    """Inverse of `entries_to_json`; a dimension given as None is 1 + its largest index.
+
+    Indices must be integers in range, values finite, and there must be
+    exactly one entry per (tone, antenna).  The count is checked before the
+    matrix is allocated, so no declared dimension can exhaust memory.
+    """
+    if not isinstance(entries, list) or not entries:
+        raise ValueError("'entries' must be a non-empty list")
+    parsed = []
+    for i, entry in enumerate(entries):
+        try:
+            n, m = read_field(entry, "tone", int), read_field(entry, "antenna", int)
+            value = complex(read_field(entry, "real"), read_field(entry, "imag"))
+            if not cmath.isfinite(value):
+                raise ValueError("'real' and 'imag' must be finite")
+        except ValueError as exc:
+            raise ValueError(f"entries[{i}]: {exc}") from None
+        parsed.append((n, m, value))
+    n_tones = 1 + max(p[0] for p in parsed) if n_tones is None else n_tones
+    m_antennas = 1 + max(p[1] for p in parsed) if m_antennas is None else m_antennas
+    if len(parsed) != n_tones * m_antennas:
+        problem = "missing" if len(parsed) < n_tones * m_antennas else "extra"
+        shape = f"{n_tones} tones x {m_antennas} antennas"
+        raise ValueError(f"'entries': {problem} entries, {len(parsed)} for {shape}")
+    matrix = np.zeros((n_tones, m_antennas), dtype=np.complex128)
+    seen = np.zeros(matrix.shape, dtype=bool)
+    for i, (n, m, value) in enumerate(parsed):
+        if not (0 <= n < n_tones and 0 <= m < m_antennas):
+            raise ValueError(f"entries[{i}]: index ({n}, {m}) out of range")
+        if seen[n, m]:
+            raise ValueError(f"entries[{i}]: duplicate entry for ({n}, {m})")
+        matrix[n, m], seen[n, m] = value, True
+    return matrix
+
+
 def weights_to_json(weights: PrecoderWeights) -> dict:
     """JSON-ready dict form of a weight matrix, grid included."""
     return {
@@ -168,42 +236,19 @@ def weights_to_json(weights: PrecoderWeights) -> dict:
         "delta_f": weights.grid.delta_f,
         "n_tones": weights.grid.n_tones,
         "band_limit": weights.grid.band_limit,
-        "entries": [
-            {
-                "tone": int(n),
-                "antenna": int(m),
-                "real": float(weights.w[n, m].real),
-                "imag": float(weights.w[n, m].imag),
-            }
-            for n in range(weights.n_tones)
-            for m in range(weights.m_antennas)
-        ],
+        "entries": entries_to_json(weights.w),
     }
 
 
 def weights_from_json(data: dict) -> PrecoderWeights:
-    """Inverse of `weights_to_json`."""
+    """Inverse of `weights_to_json`; the antenna count comes from the entries."""
     grid = ToneGrid(
-        f0=float(data["f0"]),
-        delta_f=float(data["delta_f"]),
-        n_tones=int(data["n_tones"]),
-        band_limit=float(data.get("band_limit", DEFAULT_BAND_LIMIT)),
+        f0=read_field(data, "f0"),
+        delta_f=read_field(data, "delta_f"),
+        n_tones=read_field(data, "n_tones", int),
+        band_limit=read_field(data, "band_limit", default=DEFAULT_BAND_LIMIT),
     )
-    entries = data["entries"]
-    if not entries:
-        raise ValueError("weight file holds no entries")
-    m_antennas = 1 + max(int(e["antenna"]) for e in entries)
-    w = np.zeros((grid.n_tones, m_antennas), dtype=np.complex128)
-    seen = np.zeros(w.shape, dtype=bool)
-    for e in entries:
-        n, m = int(e["tone"]), int(e["antenna"])
-        if not (0 <= n < grid.n_tones and 0 <= m < m_antennas):
-            raise ValueError(f"entry index ({n}, {m}) out of range")
-        w[n, m] = float(e["real"]) + 1j * float(e["imag"])
-        seen[n, m] = True
-    if not seen.all():
-        raise ValueError("weight file is missing tone/antenna entries")
-    return PrecoderWeights(w, grid)
+    return PrecoderWeights(entries_from_json(data.get("entries"), grid.n_tones), grid)
 
 
 def save_weights(weights: PrecoderWeights, path: str) -> None:

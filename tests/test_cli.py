@@ -70,6 +70,64 @@ class TestDesignAndZdc:
         assert "error:" in capsys.readouterr().err
 
 
+def _channel_json(**changes):
+    data = {
+        "path_loss": 263.0,
+        "distance": 2.0,
+        "n_tones": 1,
+        "m_antennas": 2,
+        "entries": [
+            {"tone": 0, "antenna": 0, "real": 1.0, "imag": 0.0},
+            {"tone": 0, "antenna": 1, "real": 0.5, "imag": -0.5},
+        ],
+    }
+    data.update(changes)
+    return json.dumps(data)
+
+
+_CSV_HEADER = "tone,antenna,real,imag,path_loss,distance\n"
+
+
+# file name -> (file text, what the error line must name)
+_BAD_CHANNEL_FILES = {
+    "dup.json": (_channel_json(entries=[
+        {"tone": 0, "antenna": 0, "real": 1.0, "imag": 0.0},
+        {"tone": 0, "antenna": 0, "real": 2.0, "imag": 0.0},
+    ]), "entries[1]: duplicate"),
+    "frac.json": (_channel_json(entries=[
+        {"tone": 0.7, "antenna": 0, "real": 1.0, "imag": 0.0},
+        {"tone": 0, "antenna": 1, "real": 2.0, "imag": 0.0},
+    ]), "'tone'"),
+    "huge.json": (_channel_json(n_tones=10**7, m_antennas=10**7), "'entries'"),
+    "empty.json": (_channel_json(n_tones=10**7, m_antennas=10**7, entries=[]),
+                   "'entries'"),
+    "nan.json": (_channel_json(entries=[
+        {"tone": 0, "antenna": 0, "real": float("nan"), "imag": 0.0},
+        {"tone": 0, "antenna": 1, "real": 2.0, "imag": 0.0},
+    ]), "'real'"),
+    "nokey.json": (json.dumps({"m_antennas": 1, "entries": []}), "'n_tones'"),
+    "list.json": ("[1, 2]", "'n_tones'"),
+    "short.csv": (_CSV_HEADER + "0,0,1\n", "entries[0]: 'imag' is missing"),
+    "frac.csv": (_CSV_HEADER + "0.5,0,1,0,263,2\n", "'tone'"),
+    "dup.csv": (_CSV_HEADER + "0,0,1,0,263,2\n0,0,1,0,263,2\n", "'entries'"),
+    "loss.csv": (_CSV_HEADER + "0,0,1,0,263,2\n0,1,1,0,999,2\n",
+                 "'path_loss' differs"),
+}
+
+
+class TestRejectedChannelFiles:
+    @pytest.mark.parametrize("name", sorted(_BAD_CHANNEL_FILES))
+    def test_exits_one_naming_the_field(self, tmp_path, capsys, name):
+        text, field = _BAD_CHANNEL_FILES[name]
+        path = tmp_path / name
+        path.write_text(text)
+        assert cli.main(["zdc", "--channel", str(path), "--scheme", "up"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert field in captured.err
+        assert captured.out == ""
+
+
 class TestSweepAndCdf:
     ARGS = ["--scheme", "smf", "--tones", "1,2", "--antennas", "1",
             "--realizations", "3", "--seed", "5"]
@@ -118,6 +176,7 @@ class TestSweepAndCdf:
             ("distances = inf\n", "distances"),
             ("csi_enabled = true\nquant_bits = 1\n", "quant_bits"),
             ("f0 = 1e6\nband_limit = 10e6\n", "f0/band_limit"),
+            ("seed = 1\nseed = 2\n", "'seed' repeats line 2"),
         ],
     )
     def test_rejected_config_names_key(self, tmp_path, capsys, lines, key):

@@ -1,7 +1,9 @@
 """Experiment driver: reproducibility, stream independence, claim checks,
 and the config-file front end."""
 
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from wptsim.channel import ChannelModel
 from wptsim.csi import CsiConfig
 from wptsim.harness import (
     CDF_FIELDS,
+    CONFIG_KEYS,
     SWEEP_FIELDS,
     ClaimCheck,
     ExperimentConfig,
@@ -247,6 +250,16 @@ class TestConfigParsing:
     def test_bad_line_numbered(self):
         with pytest.raises(ValueError, match="line 2"):
             parse_config_text("seed = 1\nnot a pair\n")
+
+    def test_duplicate_key_rejected_with_both_lines(self):
+        with pytest.raises(ValueError, match="line 3: key 'seed' repeats line 1"):
+            parse_config_text("seed = 1\ntones = 1\nseed = 2\n")
+
+    def test_readme_lists_every_config_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("Recognized keys:", 1)[1].split("```")[1]
+        keys = re.sub(r"\([^)]*\)", "", block).replace(",", " ").split()
+        assert sorted(keys) == sorted(CONFIG_KEYS)
 
     def test_full_mapping(self):
         cfg = config_from_mapping(

@@ -1,5 +1,7 @@
 """Tone grids, precoder weights, and waveform synthesis."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -229,3 +231,27 @@ class TestWeightsIo:
         del data["entries"][-1]
         with pytest.raises(ValueError, match="missing"):
             weights_from_json(data)
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda d: d["entries"][0].update(antenna=10**15), "'entries'"),
+            (lambda d: d["entries"][1].update(antenna=0), "entries[1]: duplicate"),
+            (lambda d: d["entries"][0].update(tone=0.7), "'tone'"),
+            (lambda d: d["entries"][0].update(tone=True), "'tone'"),
+            (lambda d: d["entries"][0].update(imag=float("inf")), "'imag'"),
+            (lambda d: d.pop("f0"), "'f0'"),
+            (lambda d: d.update(entries={}), "'entries'"),
+        ],
+        ids=["huge-antenna", "duplicate", "fractional", "boolean", "inf", "no-f0",
+             "not-a-list"],
+    )
+    def test_bad_files_rejected_naming_the_field(self, edit, field):
+        data = weights_to_json(make_weights(np.ones((2, 2))))
+        edit(data)
+        with pytest.raises(ValueError, match=re.escape(field)):
+            weights_from_json(data)
+
+    def test_non_object_rejected(self):
+        with pytest.raises(ValueError, match="JSON object"):
+            weights_from_json([])
