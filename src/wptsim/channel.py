@@ -15,6 +15,7 @@ so ensembles are reproducible no matter how the work is scheduled.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from dataclasses import dataclass
 
@@ -100,7 +101,11 @@ class ChannelModel:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """One draw of the frequency response: h[n, m] for tone n, antenna m."""
+    """Frequency response h[..., n, m] for tone n, antenna m.
+
+    Leading axes of `h` index independent realizations that share one path
+    loss and distance; a 2-D `h` is a single realization.
+    """
 
     h: np.ndarray
     path_loss: float
@@ -108,26 +113,25 @@ class ChannelRealization:
 
     def __post_init__(self) -> None:
         h = np.array(self.h, dtype=np.complex128)
-        if h.ndim != 2:
-            raise ValueError("h must be a 2-D (n_tones x m_antennas) matrix")
-        if h.shape[0] < 1 or h.shape[1] < 1:
+        if h.ndim < 2:
+            raise ValueError("h must be at least 2-D: (..., n_tones, m_antennas)")
+        if h.shape[-2] < 1 or h.shape[-1] < 1:
             raise ValueError("h must have at least one tone and one antenna")
         if not np.all(np.isfinite(h)):
             raise ValueError("h entries must be finite")
-        if not self.path_loss > 0:
-            raise ValueError("path_loss must be positive")
-        if not self.distance > 0:
-            raise ValueError("distance must be positive")
+        for name in ("path_loss", "distance"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
         h.flags.writeable = False
         object.__setattr__(self, "h", h)
 
     @property
     def n_tones(self) -> int:
-        return self.h.shape[0]
+        return self.h.shape[-2]
 
     @property
     def m_antennas(self) -> int:
-        return self.h.shape[1]
+        return self.h.shape[-1]
 
     @property
     def amplitudes(self) -> np.ndarray:
@@ -143,6 +147,17 @@ def path_loss(model: ChannelModel, distance: float) -> float:
     if not distance > 0:
         raise ValueError("distance must be positive")
     return model.path_loss_ref * distance**model.path_loss_exponent
+
+
+@functools.lru_cache(maxsize=64)
+def _tap_response(model: ChannelModel, grid: ToneGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only tap amplitudes sqrt(p_l), shape (L, 1), and steering
+    matrix exp(-j 2 pi f_n tau_l), shape (N, L), of a tapped-delay model."""
+    amplitudes = np.sqrt(model.tap_powers())[:, None]
+    steering = np.exp(-2j * np.pi * np.outer(grid.frequencies, model.tap_delays()))
+    amplitudes.flags.writeable = False
+    steering.flags.writeable = False
+    return amplitudes, steering
 
 
 def sample_channel(
@@ -166,10 +181,9 @@ def sample_channel(
         g = complex_normal(rng, (1, m_antennas))
         h = np.broadcast_to(g, (grid.n_tones, m_antennas)).copy()
     else:
-        profile = model.tap_powers()
+        amplitudes, steering = _tap_response(model, grid)
         alpha = complex_normal(rng, (model.n_taps, m_antennas))
-        alpha *= np.sqrt(profile)[:, None]
-        steering = np.exp(-2j * np.pi * np.outer(grid.frequencies, model.tap_delays()))
+        alpha *= amplitudes
         h = steering @ alpha
     return ChannelRealization(
         h=h, path_loss=path_loss(model, distance), distance=distance
@@ -218,6 +232,12 @@ def load_channel_csv(path: str) -> ChannelRealization:
         rows = list(reader)
     if not rows:
         raise ValueError("channel CSV holds no rows")
+    for i, row in enumerate(rows):
+        if None in row:
+            raise ValueError(
+                f"entries[{i}]: {len(row[None])} field(s) beyond "
+                f"{','.join(_CHANNEL_FIELDS)}"
+            )
     channel = ChannelRealization(
         h=entries_from_json(rows),
         path_loss=read_field(rows[0], "path_loss"),

@@ -5,6 +5,10 @@ The loop mirrors how an adaptive transmitter actually operates: it never
 sees the true channel, only a least-squares estimate corrupted by receiver
 noise and coarsened by fixed-point feedback, yet harvested power is always
 evaluated through the true channel.
+
+Like the design and rectifier layers, everything here works on the last two
+axes of the channel array; leading axes are independent realizations, each
+with its own noise seed.
 """
 
 from __future__ import annotations
@@ -61,13 +65,15 @@ class CsiConfig:
 
 
 def ls_estimate(
-    pilot: np.ndarray, received: np.ndarray, noise_seed: int, cfg: CsiConfig
+    pilot: np.ndarray, received: np.ndarray, noise_seed, cfg: CsiConfig
 ) -> np.ndarray:
     """Least-squares channel estimate (received + noise) / pilot, per entry.
 
-    Noise is CN(0, noise_variance) drawn from `noise_seed`; the unit draw is
-    taken before scaling, so sweeping the variance with a fixed seed reuses
-    one noise direction.  Unbiased, with per-entry error variance
+    Noise is CN(0, noise_variance).  `noise_seed` is one integer seed, or an
+    array-like of seeds matching the leading axes of `pilot`, each of which
+    draws the trailing block it indexes.  The unit draw is taken before
+    scaling, so sweeping the variance with fixed seeds reuses one noise
+    direction.  Unbiased, with per-entry error variance
     noise_variance / |pilot|^2.
     """
     pilot = np.asarray(pilot, dtype=np.complex128)
@@ -76,17 +82,25 @@ def ls_estimate(
         raise ValueError("pilot and received must have matching shapes")
     if np.any(pilot == 0):
         raise ValueError("pilot entries must be nonzero")
-    unit = complex_normal(make_rng(noise_seed), pilot.shape)
+    seeds = np.array(noise_seed, dtype=object)
+    if pilot.shape[: seeds.ndim] != seeds.shape:
+        raise ValueError(
+            f"noise seeds of shape {seeds.shape} do not match the leading "
+            f"axes of the pilot shape {pilot.shape}"
+        )
+    unit = np.empty(pilot.shape, dtype=np.complex128)
+    for index in np.ndindex(seeds.shape):
+        unit[index] = complex_normal(make_rng(seeds[index]), unit.shape[seeds.ndim:])
     return (received + np.sqrt(cfg.noise_variance) * unit) / pilot
 
 
 def quantize_csi(h: np.ndarray, bits_per_component: int) -> np.ndarray:
     """Midtread uniform quantizer on real and imaginary parts.
 
-    The step is 2 X / (2^b - 1) with X the largest component magnitude in
-    the whole matrix, and q(x) = step * round(x / step): zero is always
-    representable and no component moves by more than half a step.  An
-    all-zero matrix is returned unchanged.
+    Each matrix (the last two axes of `h`) has its own step 2 X / (2^b - 1),
+    with X its largest component magnitude, and q(x) = step * round(x / step):
+    zero is always representable and no component moves by more than half a
+    step.  An all-zero matrix is returned unchanged.
     """
     if bits_per_component < 2:
         raise ValueError(
@@ -94,14 +108,18 @@ def quantize_csi(h: np.ndarray, bits_per_component: int) -> np.ndarray:
             "component to zero"
         )
     h = np.asarray(h, dtype=np.complex128)
+    if h.ndim < 2:
+        raise ValueError("h must be at least 2-D: (..., n_tones, m_antennas)")
     if not np.all(np.isfinite(h)):
         raise ValueError("h entries must be finite")
-    x = max(float(np.max(np.abs(h.real), initial=0.0)),
-            float(np.max(np.abs(h.imag), initial=0.0)))
-    if x == 0.0:
-        return h.copy()
-    step = 2.0 * x / (2.0**bits_per_component - 1.0)
-    return step * np.round(h.real / step) + 1j * step * np.round(h.imag / step)
+    peak = np.maximum(
+        np.max(np.abs(h.real), axis=(-2, -1), initial=0.0, keepdims=True),
+        np.max(np.abs(h.imag), axis=(-2, -1), initial=0.0, keepdims=True),
+    )
+    nonzero = peak > 0.0
+    step = np.where(nonzero, 2.0 * peak / (2.0**bits_per_component - 1.0), 1.0)
+    q = step * np.round(h.real / step) + 1j * step * np.round(h.imag / step)
+    return np.where(nonzero, q, h)
 
 
 def csi_loop_zdc(
@@ -109,15 +127,17 @@ def csi_loop_zdc(
     scheme: DesignScheme,
     cfg: CsiConfig,
     params: RectifierParams,
-    seed: int,
+    seed,
     grid: ToneGrid | None = None,
-) -> float:
+):
     """One acquire-design-harvest frame; returns the delivered DC output.
 
     Pilots of amplitude `cfg.pilot_amplitude` sound every tone/antenna pair;
     the design is computed from the noisy, quantized LS estimate and then
-    evaluated through the true channel.  Degenerate estimates (for example
-    quantized to all zeros) raise just as they would in the design itself.
+    evaluated through the true channel.  For a batched `true_channel`,
+    `seed` holds one noise seed per realization and the result is an array
+    of per-realization outputs.  Degenerate estimates (for example quantized
+    to all zeros) raise just as they would in the design itself.
     """
     pilot = np.full(
         true_channel.h.shape, cfg.pilot_amplitude, dtype=np.complex128

@@ -4,6 +4,10 @@ and the scaled matched filter.
 All adaptive designs align per-tone phases with the conjugate channel, so the
 received tones add coherently; they differ only in how amplitude is spread
 across tones and antennas.  Every design radiates exactly its power budget.
+
+Designs work on the last two axes of the channel array, so a batch of
+realizations (leading axes of ``h``) is designed in one call and a single
+realization is the batch of one.
 """
 
 from __future__ import annotations
@@ -52,15 +56,20 @@ def _resolve_grid(channel: ChannelRealization, grid: ToneGrid | None) -> ToneGri
     return grid
 
 
-def design_cw(p: float, grid: ToneGrid | None = None) -> PrecoderWeights:
-    """Single tone, single antenna, amplitude sqrt(2 p), zero phase."""
+def design_cw(
+    p: float, grid: ToneGrid | None = None, batch_shape: tuple[int, ...] = ()
+) -> PrecoderWeights:
+    """Single tone, single antenna, amplitude sqrt(2 p), zero phase.
+
+    The weights have shape ``(*batch_shape, 1, 1)``.
+    """
     if not p > 0:
         raise ValueError("p must be positive")
     if grid is None:
         grid = ToneGrid.for_band(1)
     if grid.n_tones != 1:
         raise ValueError("CW uses a single-tone grid")
-    w = np.array([[math.sqrt(2.0 * p)]], dtype=np.complex128)
+    w = np.full((*batch_shape, 1, 1), math.sqrt(2.0 * p), dtype=np.complex128)
     return PrecoderWeights(w, grid)
 
 
@@ -72,11 +81,13 @@ def design_mrt(
         raise ValueError("p must be positive")
     if channel.n_tones != 1:
         raise ValueError("MRT is a single-tone design; channel must have n_tones = 1")
-    h = channel.h[0]
-    norm = float(np.linalg.norm(h))
-    if norm == 0.0:
+    h = channel.h[..., 0, :]
+    # One 1-D norm per realization: batched norms round differently.
+    rows = h.reshape(-1, channel.m_antennas)
+    norms = np.array([np.linalg.norm(row) for row in rows]).reshape(h.shape[:-1])
+    if np.any(norms == 0.0):
         raise ValueError("cannot beamform on an all-zero channel")
-    w = (math.sqrt(2.0 * p) / norm) * np.conj(h)[None, :]
+    w = (math.sqrt(2.0 * p) / norms)[..., None, None] * np.conj(h)[..., None, :]
     return PrecoderWeights(w, _resolve_grid(channel, grid))
 
 
@@ -112,14 +123,14 @@ def design_smf(
         raise ValueError("p must be positive")
     if not beta > 0:
         raise ValueError("beta must be positive")
-    norms = np.linalg.norm(channel.h, axis=1)
-    if not np.any(norms > 0):
+    norms = np.linalg.norm(channel.h, axis=-1)
+    alive = norms > 0
+    if not np.all(np.any(alive, axis=-1)):
         raise ValueError("cannot design on an all-zero channel")
     shape = np.zeros_like(channel.h)
-    alive = norms > 0
-    shape[alive] = norms[alive, None] ** (beta - 1.0) * np.conj(channel.h[alive])
-    scale = math.sqrt(2.0 * p / float(np.sum(norms ** (2.0 * beta))))
-    return PrecoderWeights(scale * shape, _resolve_grid(channel, grid))
+    shape[alive] = norms[alive][:, None] ** (beta - 1.0) * np.conj(channel.h[alive])
+    scale = np.sqrt(2.0 * p / np.sum(norms ** (2.0 * beta), axis=-1))
+    return PrecoderWeights(scale[..., None, None] * shape, _resolve_grid(channel, grid))
 
 
 def effective_channel(
@@ -133,7 +144,7 @@ def effective_channel(
     """
     if scheme.kind == CW:
         return ChannelRealization(
-            h=channel.h[:1, :1],
+            h=channel.h[..., :1, :1],
             path_loss=channel.path_loss,
             distance=channel.distance,
         )
@@ -152,7 +163,7 @@ def apply_design(
     """
     if scheme.kind == CW:
         cw_grid = grid.single_tone() if grid is not None else ToneGrid.for_band(1)
-        return design_cw(scheme.power_budget, cw_grid)
+        return design_cw(scheme.power_budget, cw_grid, channel.h.shape[:-2])
     if scheme.kind == MRT:
         return design_mrt(channel, scheme.power_budget, grid)
     if scheme.kind == UP:

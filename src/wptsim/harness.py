@@ -5,7 +5,10 @@ text file) and a master seed.  Every channel realization gets its own
 counter-derived stream keyed by (tones, antennas, distance index,
 realization index), so results are byte-identical however the realizations
 are scheduled, and all schemes see the same channels at the same
-configuration.
+configuration.  Each cell is evaluated in blocks of `BLOCK_SIZE`
+realizations: channels are drawn one by one, then designed, received and
+rectified as one batch.  The block size bounds memory and never changes
+the output.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import numpy as np
 from .channel import (
     CHANNEL_KINDS,
     ChannelModel,
+    ChannelRealization,
     derive_seed,
     sample_channel,
 )
@@ -47,6 +51,9 @@ CDF_FIELDS = ["scheme", "n_tones", "m_antennas", "zdc", "cdf"]
 # Stream tags keeping channel draws and CSI noise draws independent.
 _CHANNEL_STREAM = 0
 _NOISE_STREAM = 1
+
+# Realizations designed and received per batch.
+BLOCK_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -135,33 +142,6 @@ class SweepRow:
     zdc_std: float
 
 
-def _zdc_realization(
-    cfg: ExperimentConfig,
-    scheme: DesignScheme,
-    grid: ToneGrid,
-    m_antennas: int,
-    distance: float,
-    d_index: int,
-    r_index: int,
-) -> float:
-    chan_seed = derive_seed(
-        cfg.seed, _CHANNEL_STREAM, grid.n_tones, m_antennas, d_index, r_index
-    )
-    channel = sample_channel(
-        cfg.channel_model, grid, m_antennas, chan_seed, distance=distance
-    )
-    if cfg.csi is not None:
-        noise_seed = derive_seed(
-            cfg.seed, _NOISE_STREAM, grid.n_tones, m_antennas, d_index, r_index
-        )
-        return csi_loop_zdc(
-            channel, scheme, cfg.csi, cfg.rectifier, noise_seed, grid=grid
-        )
-    weights = apply_design(scheme, channel, grid)
-    tones = received_tones(weights, effective_channel(scheme, channel))
-    return z_dc(tones, cfg.rectifier)
-
-
 def _zdc_ensemble(
     cfg: ExperimentConfig,
     scheme_name: str,
@@ -173,11 +153,33 @@ def _zdc_ensemble(
     """All realizations for one cell, in realization-index order."""
     scheme = cfg.scheme_obj(scheme_name)
     grid = cfg.grid_for(n_tones)
+    cell = (n_tones, m_antennas, d_index)
     values = np.empty(cfg.realizations)
-    for r_index in range(cfg.realizations):
-        values[r_index] = _zdc_realization(
-            cfg, scheme, grid, m_antennas, distance, d_index, r_index
+    for start in range(0, cfg.realizations, BLOCK_SIZE):
+        stop = min(start + BLOCK_SIZE, cfg.realizations)
+        draws, noise_seeds = [], []
+        for r_index in range(start, stop):
+            chan_seed = derive_seed(cfg.seed, _CHANNEL_STREAM, *cell, r_index)
+            draws.append(
+                sample_channel(
+                    cfg.channel_model, grid, m_antennas, chan_seed, distance=distance
+                )
+            )
+            if cfg.csi is not None:
+                noise_seeds.append(derive_seed(cfg.seed, _NOISE_STREAM, *cell, r_index))
+        block = ChannelRealization(
+            h=np.stack([draw.h for draw in draws]),
+            path_loss=draws[0].path_loss,
+            distance=distance,
         )
+        if cfg.csi is not None:
+            values[start:stop] = csi_loop_zdc(
+                block, scheme, cfg.csi, cfg.rectifier, noise_seeds, grid=grid
+            )
+        else:
+            weights = apply_design(scheme, block, grid)
+            tones = received_tones(weights, effective_channel(scheme, block))
+            values[start:stop] = z_dc(tones, cfg.rectifier)
     return values
 
 

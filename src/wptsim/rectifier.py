@@ -7,6 +7,10 @@ multisine on an evenly spaced tone grid narrower than twice its base
 frequency both averages have exact closed forms in the per-tone complex
 amplitudes; `z_dc_time_oracle` recomputes them by brute-force time sampling
 as an independent check.
+
+Tone amplitudes are array-first: ``a`` has shape ``(..., n_tones)``, and the
+moments and `z_dc` return one value per leading index, or a float for a
+single reception.  The time oracle takes a single reception only.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization
-from .signals import PrecoderWeights, ToneGrid
+from .signals import PrecoderWeights, ToneGrid, per_realization, require_single
 
 DEFAULT_K2 = 0.0034
 DEFAULT_K4 = 0.3829
@@ -46,18 +50,18 @@ class RectifierParams:
 
 @dataclass(frozen=True)
 class ReceivedTones:
-    """Per-tone complex amplitudes a_n seen at the rectifier input."""
+    """Per-tone complex amplitudes a[..., n] seen at the rectifier input."""
 
     a: np.ndarray
     grid: ToneGrid
 
     def __post_init__(self) -> None:
         a = np.array(self.a, dtype=np.complex128)
-        if a.ndim != 1:
-            raise ValueError("a must be a 1-D vector of tone amplitudes")
-        if a.shape[0] != self.grid.n_tones:
+        if a.ndim < 1:
+            raise ValueError("a must be at least 1-D: (..., n_tones)")
+        if a.shape[-1] != self.grid.n_tones:
             raise ValueError(
-                f"a has {a.shape[0]} tones but the grid has {self.grid.n_tones}"
+                f"a has {a.shape[-1]} tones but the grid has {self.grid.n_tones}"
             )
         if not np.all(np.isfinite(a)):
             raise ValueError("a entries must be finite")
@@ -73,7 +77,7 @@ class ReceivedTones:
 
     @property
     def n_tones(self) -> int:
-        return self.a.shape[0]
+        return self.a.shape[-1]
 
 
 def received_tones(
@@ -85,16 +89,16 @@ def received_tones(
             f"channel dimensions {channel.h.shape} do not match weight "
             f"dimensions {weights.w.shape}"
         )
-    a = (channel.h * weights.w).sum(axis=1) / np.sqrt(channel.path_loss)
+    a = (channel.h * weights.w).sum(axis=-1) / np.sqrt(channel.path_loss)
     return ReceivedTones(a=a, grid=weights.grid)
 
 
-def moment2(tones: ReceivedTones) -> float:
+def moment2(tones: ReceivedTones):
     """Time-average of y(t)^2: half the summed tone powers."""
-    return float(np.sum(np.abs(tones.a) ** 2)) / 2.0
+    return per_realization(np.sum(np.abs(tones.a) ** 2, axis=-1) / 2.0)
 
 
-def moment4(tones: ReceivedTones) -> float:
+def moment4(tones: ReceivedTones):
     """Time-average of y(t)^4: (3/8) sum_k |c_k|^2 with c = a * a.
 
     Only quadruples of tone indices with n0 + n1 = n2 + n3 survive time
@@ -104,14 +108,19 @@ def moment4(tones: ReceivedTones) -> float:
 
         sum_{n0+n1=n2+n3} a_n0 a_n1 conj(a_n2) conj(a_n3) = sum_k |c_k|^2,
 
-    which is real and non-negative by construction.
+    which is real and non-negative by construction.  Each reception gets its
+    own 1-D convolution and dot product; batched forms round differently.
     """
-    c = np.convolve(tones.a, tones.a)
-    return 0.375 * float(np.vdot(c, c).real)
+    rows = tones.a.reshape(-1, tones.n_tones)
+    energy = np.empty(rows.shape[0])
+    for i, row in enumerate(rows):
+        c = np.convolve(row, row)
+        energy[i] = np.vdot(c, c).real
+    return per_realization(0.375 * energy.reshape(tones.a.shape[:-1]))
 
 
-def z_dc(tones: ReceivedTones, params: RectifierParams) -> float:
-    """Rectifier DC output k2 R m2 + k4 R^2 m4 (model units)."""
+def z_dc(tones: ReceivedTones, params: RectifierParams):
+    """Rectifier DC output k2 R m2 + k4 R^2 m4 (model units), per reception."""
     m2 = moment2(tones)
     m4 = moment4(tones)
     return params.k2 * params.r_ant * m2 + params.k4 * params.r_ant**2 * m4
@@ -135,6 +144,7 @@ def z_dc_time_oracle(
     `samples` is at least 8 (f0 + N delta_f) / delta_f; fewer samples would
     alias fourth-order products onto DC and raise instead.
     """
+    require_single(tones.a, core_ndim=1)
     needed = min_oracle_samples(tones)
     if needed > _MAX_ORACLE_SAMPLES:
         raise ValueError(

@@ -4,6 +4,12 @@ Everything downstream works on per-tone complex amplitudes.  Real passband
 waveforms are only materialized through `synthesize_tx` / `received_signal`,
 mainly so that time-domain averages can cross-check the analytic power and
 rectifier expressions.
+
+Weight matrices are array-first: ``w`` has shape ``(..., n_tones,
+m_antennas)``, and any leading axes index independent realizations.  A 2-D
+matrix is the batch of one; per-realization quantities then come back as a
+float instead of an array.  Waveform synthesis and the file codecs take a
+single realization only.
 """
 
 from __future__ import annotations
@@ -72,13 +78,29 @@ class ToneGrid:
         return ToneGrid(self.f0, self.delta_f, 1, self.band_limit)
 
 
+def per_realization(values):
+    """A float for a single realization, else the array of per-realization values."""
+    values = np.asarray(values)
+    return float(values) if values.ndim == 0 else values
+
+
+def require_single(matrix: np.ndarray, core_ndim: int = 2) -> None:
+    """Reject a batch where only a single realization is supported."""
+    if matrix.ndim != core_ndim:
+        raise ValueError(
+            f"expected a single realization, got a batch of shape "
+            f"{matrix.shape[:-core_ndim]}"
+        )
+
+
 @dataclass(frozen=True)
 class PrecoderWeights:
     """Per-tone, per-antenna complex amplitudes of the transmit multisine.
 
-    ``w[n, m]`` is the complex amplitude of tone n at antenna m; the average
-    radiated power is ``sum(|w|^2) / 2``.  Instances are immutable: the
-    weight matrix is stored read-only so realizations can be shared freely.
+    ``w[..., n, m]`` is the complex amplitude of tone n at antenna m; the
+    average radiated power of a realization is ``sum(|w|^2) / 2``.
+    Instances are immutable: the weight array is stored read-only so
+    realizations can be shared freely.
     """
 
     w: np.ndarray
@@ -86,14 +108,14 @@ class PrecoderWeights:
 
     def __post_init__(self) -> None:
         w = np.array(self.w, dtype=np.complex128)
-        if w.ndim != 2:
-            raise ValueError("w must be a 2-D (n_tones x m_antennas) matrix")
-        if w.shape[0] != self.grid.n_tones:
+        if w.ndim < 2:
+            raise ValueError("w must be at least 2-D: (..., n_tones, m_antennas)")
+        if w.shape[-2] != self.grid.n_tones:
             raise ValueError(
-                f"w has {w.shape[0]} rows but the grid has "
+                f"w has {w.shape[-2]} rows but the grid has "
                 f"{self.grid.n_tones} tones"
             )
-        if w.shape[1] < 1:
+        if w.shape[-1] < 1:
             raise ValueError("w must have at least one antenna column")
         if not np.all(np.isfinite(w)):
             raise ValueError("w entries must be finite")
@@ -102,11 +124,11 @@ class PrecoderWeights:
 
     @property
     def n_tones(self) -> int:
-        return self.w.shape[0]
+        return self.w.shape[-2]
 
     @property
     def m_antennas(self) -> int:
-        return self.w.shape[1]
+        return self.w.shape[-1]
 
 
 def _as_time_axis(t) -> tuple[np.ndarray, bool]:
@@ -124,25 +146,27 @@ def synthesize_tx(weights: PrecoderWeights, t):
     x_m(t) = Re sum_n w[n, m] exp(j 2 pi f_n t).  Scalar t returns shape
     (m_antennas,); a 1-D array of times returns (len(t), m_antennas).
     """
+    require_single(weights.w)
     t_arr, scalar = _as_time_axis(t)
     phases = np.exp(2j * np.pi * np.outer(t_arr, weights.grid.frequencies))
     x = (phases @ weights.w).real
     return x[0] if scalar else x
 
 
-def tx_power(weights: PrecoderWeights) -> float:
-    """Average transmit power sum(|w|^2) / 2 summed over tones and antennas."""
-    return float(np.sum(np.abs(weights.w) ** 2)) / 2.0
+def tx_power(weights: PrecoderWeights):
+    """Per-realization average transmit power sum(|w|^2) / 2."""
+    return per_realization(np.sum(np.abs(weights.w) ** 2, axis=(-2, -1)) / 2.0)
 
 
 def normalize_power(weights: PrecoderWeights, p: float) -> PrecoderWeights:
-    """Rescale weights (positive scalar multiple) so tx_power equals p."""
+    """Rescale each realization (positive scalar multiple) so tx_power equals p."""
     if not p > 0:
         raise ValueError("p must be positive")
-    current = tx_power(weights)
-    if current == 0.0:
+    current = np.asarray(tx_power(weights))
+    if np.any(current == 0.0):
         raise ValueError("cannot normalize an all-zero weight matrix")
-    return PrecoderWeights(weights.w * math.sqrt(p / current), weights.grid)
+    scale = np.sqrt(p / current)[..., None, None]
+    return PrecoderWeights(weights.w * scale, weights.grid)
 
 
 def received_signal(weights: PrecoderWeights, channel: "ChannelRealization", t):
@@ -151,6 +175,7 @@ def received_signal(weights: PrecoderWeights, channel: "ChannelRealization", t):
     y(t) = Re sum_n path_loss^{-1/2} (h_n . w_n) exp(j 2 pi f_n t), where
     h_n . w_n sums over antennas.  Scalar t returns a float.
     """
+    require_single(weights.w)
     if channel.h.shape != weights.w.shape:
         raise ValueError(
             f"channel dimensions {channel.h.shape} do not match weight "
@@ -187,6 +212,7 @@ def read_field(record, key: str, kind: type = float, default=None):
 
 def entries_to_json(matrix: np.ndarray) -> list[dict]:
     """One {tone, antenna, real, imag} entry per element, in row-major order."""
+    require_single(matrix)
     return [
         {"tone": n, "antenna": m, "real": float(v.real), "imag": float(v.imag)}
         for (n, m), v in np.ndenumerate(matrix)

@@ -112,6 +112,10 @@ _BAD_CHANNEL_FILES = {
     "dup.csv": (_CSV_HEADER + "0,0,1,0,263,2\n0,0,1,0,263,2\n", "'entries'"),
     "loss.csv": (_CSV_HEADER + "0,0,1,0,263,2\n0,1,1,0,999,2\n",
                  "'path_loss' differs"),
+    "infloss.csv": (_CSV_HEADER + "0,0,1,0,inf,2\n", "path_loss"),
+    "infdist.csv": (_CSV_HEADER + "0,0,1,0,263,inf\n", "distance"),
+    "infloss.json": (_channel_json(path_loss=float("inf")), "path_loss"),
+    "extra.csv": (_CSV_HEADER + "0,0,1,0,263,2,junk\n", "entries[0]"),
 }
 
 
