@@ -38,17 +38,103 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
 
 
+_MASK32 = 0xFFFFFFFF
+
+
 def derive_seed(master_seed: int, *path: int) -> int:
     """Deterministic child seed for the stream identified by `path`.
 
-    All path components must be non-negative integers.  Distinct paths give
-    independent streams, so parallel and serial ensemble runs coincide.
+    The first 64-bit word of `SeedSequence([master_seed, *path])`, so a
+    seed in [0, 2**64).  All path components must be non-negative integers.
+    Distinct paths of one length give independent streams, so parallel and
+    serial ensemble runs coincide.  Paths of different lengths can collide:
+    numpy pads entropy shorter than four 32-bit words with zeros, so `(s,)`
+    and `(s, 0)` give the same seed.
+
+    The entropy is passed as the uint32 words numpy's own coercion builds
+    (each int little-endian, 0 as one word): the same pool without numpy's
+    per-int conversion.
     """
-    entropy = [int(master_seed), *[int(p) for p in path]]
-    if any(e < 0 for e in entropy):
-        raise ValueError("seed path components must be non-negative")
-    ss = np.random.SeedSequence(entropy)
+    words = []
+    for e in (master_seed, *path):
+        e = int(e)
+        if e < 0:
+            raise ValueError("seed path components must be non-negative")
+        words.append(e & _MASK32)
+        e >>= 32
+        while e:
+            words.append(e & _MASK32)
+            e >>= 32
+    ss = np.random.SeedSequence(np.array(words, dtype=np.uint32))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
+
+
+def seed_array(seeds, name: str = "seeds") -> np.ndarray:
+    """`seeds` as a uint64 array; ValueError naming `name` unless every
+    entry is an integer in [0, 2**64)."""
+    if isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64:
+        return seeds
+    values = np.array(seeds, dtype=object)
+    if not all(
+        isinstance(s, (int, np.integer)) and 0 <= s < 2**64 for s in values.flat
+    ):
+        raise ValueError(f"{name} must hold integers in [0, 2**64)")
+    return values.astype(np.uint64)
+
+
+# numpy's SeedSequence hash (bit_generator.pyx): a pool of four uint32
+# words, hashmix constants drawn from the INIT/MULT recurrences, which never
+# depend on the data.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
+    out = [init]
+    for _ in range(n):
+        out.append(out[-1] * mult & _MASK32)
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+_HASH_A = _hash_constants(_INIT_A, _MULT_A, 16)
+_HASH_B = _hash_constants(_INIT_B, _MULT_B, 4)
+
+
+def philox_keys(seeds) -> np.ndarray:
+    """Philox keys of `make_rng(s)` for every seed s, shape seeds.shape + (2,).
+
+    Equals `SeedSequence(s).generate_state(2, np.uint64)` bit for bit, with
+    the hash run once over the whole array in wrapping uint32 arithmetic.
+    A seed below 2**64 is at most two entropy words, and numpy fills the
+    rest of its four-word pool with hashed zeros, so every seed takes the
+    same steps and no masking is needed.  A Philox holding such a key
+    with a zero counter and an empty buffer (buffer_pos 4) replays the
+    stream of `make_rng(s)`.
+    """
+    seeds = seed_array(seeds)
+    flat = seeds.reshape(-1)
+    pool = np.zeros((4, flat.size), dtype=np.uint32)
+    pool[0] = flat & _MASK32
+    pool[1] = flat >> 32
+    pool ^= _HASH_A[:4]
+    pool *= _HASH_A[1:5]
+    pool ^= pool >> 16
+    k = 4
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        hashed = (pool[src] ^ _HASH_A[k : k + 3]) * _HASH_A[k + 1 : k + 4]
+        hashed ^= hashed >> 16
+        mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashed
+        mixed ^= mixed >> 16
+        pool[dst] = mixed
+        k += 3
+    pool ^= _HASH_B[:4]
+    pool *= _HASH_B[1:5]
+    pool ^= pool >> 16
+    words = pool.astype(np.uint64)
+    keys = words[0::2] | words[1::2] << 32
+    return keys.T.reshape(seeds.shape + (2,))
 
 
 def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
@@ -78,14 +164,12 @@ class ChannelModel:
             raise ValueError(f"kind must be one of {CHANNEL_KINDS}")
         if self.n_taps < 1:
             raise ValueError("n_taps must be >= 1")
-        if self.delay_spread < 0:
-            raise ValueError("delay_spread must be >= 0")
-        if self.pdp_decay < 0:
-            raise ValueError("pdp_decay must be >= 0")
-        if not self.path_loss_ref > 0:
-            raise ValueError("path_loss_ref must be positive")
-        if not self.path_loss_exponent > 0:
-            raise ValueError("path_loss_exponent must be positive")
+        for name in ("delay_spread", "pdp_decay"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be >= 0 and finite")
+        for name in ("path_loss_ref", "path_loss_exponent"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
     def tap_delays(self) -> np.ndarray:
         """Tap delays in seconds, uniformly spaced over the delay spread."""
@@ -179,7 +263,7 @@ def sample_channel(
     rng = make_rng(seed)
     if model.kind == FREQUENCY_FLAT:
         g = complex_normal(rng, (1, m_antennas))
-        h = np.broadcast_to(g, (grid.n_tones, m_antennas)).copy()
+        h = np.repeat(g, grid.n_tones, axis=0)
     else:
         amplitudes, steering = _tap_response(model, grid)
         alpha = complex_normal(rng, (model.n_taps, m_antennas))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, complex_normal, make_rng
+from .channel import ChannelRealization, philox_keys, seed_array
 from .design import DesignScheme, apply_design, effective_channel
 from .rectifier import RectifierParams, received_tones, z_dc
 from .signals import ToneGrid
@@ -42,10 +42,10 @@ class CsiConfig:
     account_acquisition_time: bool = False
 
     def __post_init__(self) -> None:
-        if not self.pilot_amplitude > 0:
-            raise ValueError("pilot_amplitude must be positive")
-        if self.noise_variance < 0:
-            raise ValueError("noise_variance must be >= 0")
+        if not 0 < self.pilot_amplitude < np.inf:
+            raise ValueError("pilot_amplitude must be positive and finite")
+        if not 0 <= self.noise_variance < np.inf:
+            raise ValueError("noise_variance must be >= 0 and finite")
         if self.quant_bits_per_component is not None and (
             self.quant_bits_per_component < 2
         ):
@@ -53,8 +53,8 @@ class CsiConfig:
                 "quant_bits_per_component must be >= 2 (or None): one bit "
                 "rounds every component to zero"
             )
-        if not self.frame_length > 0:
-            raise ValueError("frame_length must be positive")
+        if not 0 < self.frame_length < np.inf:
+            raise ValueError("frame_length must be positive and finite")
         if not 0 < self.acquisition_time < self.frame_length:
             raise ValueError("acquisition_time must lie inside the frame")
 
@@ -71,9 +71,11 @@ def ls_estimate(
 
     Noise is CN(0, noise_variance).  `noise_seed` is one integer seed, or an
     array-like of seeds matching the leading axes of `pilot`, each of which
-    draws the trailing block it indexes.  The unit draw is taken before
-    scaling, so sweeping the variance with fixed seeds reuses one noise
-    direction.  Unbiased, with per-entry error variance
+    draws the trailing block it indexes exactly as
+    `complex_normal(make_rng(seed), shape)` would; seeds must be integers in
+    [0, 2**64), the range `derive_seed` yields.  The unit draw is taken
+    before scaling, so sweeping the variance with fixed seeds reuses one
+    noise direction.  Unbiased, with per-entry error variance
     noise_variance / |pilot|^2.
     """
     pilot = np.asarray(pilot, dtype=np.complex128)
@@ -82,15 +84,37 @@ def ls_estimate(
         raise ValueError("pilot and received must have matching shapes")
     if np.any(pilot == 0):
         raise ValueError("pilot entries must be nonzero")
-    seeds = np.array(noise_seed, dtype=object)
+    seeds = seed_array(noise_seed, "noise_seed")
     if pilot.shape[: seeds.ndim] != seeds.shape:
         raise ValueError(
             f"noise seeds of shape {seeds.shape} do not match the leading "
             f"axes of the pilot shape {pilot.shape}"
         )
-    unit = np.empty(pilot.shape, dtype=np.complex128)
-    for index in np.ndindex(seeds.shape):
-        unit[index] = complex_normal(make_rng(seeds[index]), unit.shape[seeds.ndim:])
+    # One Philox re-keyed per seed replays that seed's make_rng stream: a
+    # zero counter and an empty buffer, then the real parts and the
+    # imaginary parts of the block the seed indexes.
+    block = pilot.shape[seeds.ndim :]
+    draws = np.empty(seeds.shape + (2,) + block)
+    bitgen = np.random.Philox(0)
+    rng = np.random.Generator(bitgen)
+    stream = {"counter": [0, 0, 0, 0], "key": None}
+    state = {
+        "bit_generator": "Philox",
+        "state": stream,
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    for key, out in zip(
+        philox_keys(seeds).reshape(-1, 2).tolist(),
+        draws.reshape((-1, 2) + block),
+    ):
+        stream["key"] = key
+        bitgen.state = state
+        rng.standard_normal(out=out)
+    re, im = np.moveaxis(draws, seeds.ndim, 0)
+    unit = (re + 1j * im) / np.sqrt(2.0)
     return (received + np.sqrt(cfg.noise_variance) * unit) / pilot
 
 

@@ -40,10 +40,10 @@ class DesignScheme:
     def __post_init__(self) -> None:
         if self.kind not in SCHEME_KINDS:
             raise ValueError(f"kind must be one of {SCHEME_KINDS}")
-        if not self.power_budget > 0:
-            raise ValueError("power_budget must be positive")
-        if self.kind == SMF and not self.beta > 0:
-            raise ValueError("beta must be positive for smf")
+        if not 0 < self.power_budget < np.inf:
+            raise ValueError("power_budget must be positive and finite")
+        if self.kind == SMF and not 0 < self.beta < np.inf:
+            raise ValueError("beta must be positive and finite for smf")
 
 
 def _resolve_grid(channel: ChannelRealization, grid: ToneGrid | None) -> ToneGrid:

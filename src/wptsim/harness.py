@@ -104,14 +104,11 @@ class ExperimentConfig:
             problems.append("realizations: must be >= 1")
         if self.seed < 0:
             problems.append("seed: must be non-negative")
-        if not self.power_budget > 0:
-            problems.append("power_budget: must be positive")
-        if not self.beta > 0:
-            problems.append("beta: must be positive")
-        if not self.f0 > 0:
-            problems.append("f0: must be positive")
-        if not self.band_limit > 0:
-            problems.append("band_limit: must be positive")
+        for name in ("power_budget", "beta", "f0"):
+            if not 0 < getattr(self, name) < np.inf:
+                problems.append(f"{name}: must be positive and finite")
+        if not 0 < self.band_limit < np.inf:
+            problems.append("band_limit: must be positive and finite")
         elif (
             self.f0 > 0
             and max(self.tone_counts, default=1) > 1
@@ -456,6 +453,13 @@ def _parse_bool(value: str) -> bool:
     raise ValueError(f"expected a boolean, got {value!r}")
 
 
+def _parse_finite(value: str) -> float:
+    number = float(value)
+    if not np.isfinite(number):
+        raise ValueError(f"must be a finite number, got {value!r}")
+    return number
+
+
 def _parse_channel_kind(value: str) -> str:
     if value not in CHANNEL_KINDS:
         raise ValueError(f"must be one of {CHANNEL_KINDS}")
@@ -476,29 +480,29 @@ CONFIG_KEYS = {
     "schemes": ("experiment", "schemes", _list_of(str)),
     "tones": ("experiment", "tone_counts", _list_of(int)),
     "antennas": ("experiment", "antenna_counts", _list_of(int)),
-    "distances": ("experiment", "distances", _list_of(float)),
+    "distances": ("experiment", "distances", _list_of(_parse_finite)),
     "realizations": ("experiment", "realizations", int),
     "seed": ("experiment", "seed", int),
-    "power_budget": ("experiment", "power_budget", float),
-    "beta": ("experiment", "beta", float),
-    "f0": ("experiment", "f0", float),
-    "band_limit": ("experiment", "band_limit", float),
+    "power_budget": ("experiment", "power_budget", _parse_finite),
+    "beta": ("experiment", "beta", _parse_finite),
+    "f0": ("experiment", "f0", _parse_finite),
+    "band_limit": ("experiment", "band_limit", _parse_finite),
     "out": ("experiment", "out_path", str),
     "channel_kind": ("channel_model", "kind", _parse_channel_kind),
     "n_taps": ("channel_model", "n_taps", int),
-    "delay_spread": ("channel_model", "delay_spread", float),
-    "pdp_decay": ("channel_model", "pdp_decay", float),
-    "path_loss_ref": ("channel_model", "path_loss_ref", float),
-    "path_loss_exponent": ("channel_model", "path_loss_exponent", float),
-    "k2": ("rectifier", "k2", float),
-    "k4": ("rectifier", "k4", float),
-    "r_ant": ("rectifier", "r_ant", float),
+    "delay_spread": ("channel_model", "delay_spread", _parse_finite),
+    "pdp_decay": ("channel_model", "pdp_decay", _parse_finite),
+    "path_loss_ref": ("channel_model", "path_loss_ref", _parse_finite),
+    "path_loss_exponent": ("channel_model", "path_loss_exponent", _parse_finite),
+    "k2": ("rectifier", "k2", _parse_finite),
+    "k4": ("rectifier", "k4", _parse_finite),
+    "r_ant": ("rectifier", "r_ant", _parse_finite),
     "csi_enabled": ("csi", "enabled", _parse_bool),
-    "pilot_amplitude": ("csi", "pilot_amplitude", float),
-    "noise_variance": ("csi", "noise_variance", float),
+    "pilot_amplitude": ("csi", "pilot_amplitude", _parse_finite),
+    "noise_variance": ("csi", "noise_variance", _parse_finite),
     "quant_bits": ("csi", "quant_bits_per_component", int),
-    "frame_length": ("csi", "frame_length", float),
-    "acquisition_time": ("csi", "acquisition_time", float),
+    "frame_length": ("csi", "frame_length", _parse_finite),
+    "acquisition_time": ("csi", "acquisition_time", _parse_finite),
     "account_acquisition_time": ("csi", "account_acquisition_time", _parse_bool),
 }
 

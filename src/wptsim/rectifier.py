@@ -40,12 +40,9 @@ class RectifierParams:
     r_ant: float = DEFAULT_R_ANT
 
     def __post_init__(self) -> None:
-        if not self.k2 > 0:
-            raise ValueError("k2 must be positive")
-        if not self.k4 > 0:
-            raise ValueError("k4 must be positive")
-        if not self.r_ant > 0:
-            raise ValueError("r_ant must be positive")
+        for name in ("k2", "k4", "r_ant"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
 
 @dataclass(frozen=True)

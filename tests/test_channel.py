@@ -61,6 +61,14 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             ChannelModel(**kwargs)
 
+    @pytest.mark.parametrize(
+        "name", ["delay_spread", "pdp_decay", "path_loss_ref", "path_loss_exponent"]
+    )
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_naming_field(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be .* finite"):
+            ChannelModel(**{name: value})
+
     def test_tap_powers_normalized(self):
         assert SELECTIVE.tap_powers().sum() == pytest.approx(1.0, rel=1e-12)
 

@@ -8,6 +8,7 @@ import pytest
 from wptsim import cli
 from wptsim.channel import ChannelModel, sample_channel, save_channel, save_channel_csv
 from wptsim.fitlab import MeasurementRecord, write_measurements_csv
+from wptsim.harness import CONFIG_KEYS
 from wptsim.signals import ToneGrid, load_weights
 
 
@@ -189,6 +190,38 @@ class TestSweepAndCdf:
         assert cli.main(["sweep", "--config", str(cfg)]) == 1
         captured = capsys.readouterr()
         assert key in captured.err
+        assert captured.out == ""
+
+
+FLOAT_KEYS = [
+    "power_budget", "beta", "f0", "band_limit",
+    "delay_spread", "pdp_decay", "path_loss_ref", "path_loss_exponent",
+    "k2", "k4", "r_ant",
+    "pilot_amplitude", "noise_variance", "frame_length", "acquisition_time",
+]
+
+
+def _parses_to_float(parse):
+    try:
+        return isinstance(parse("0.5"), float)
+    except ValueError:
+        return False
+
+
+class TestNonFiniteConfigValues:
+    def test_every_float_key_is_covered(self):
+        parsed = [k for k, (_, _, parse) in CONFIG_KEYS.items() if _parses_to_float(parse)]
+        assert sorted(parsed) == sorted(FLOAT_KEYS)
+
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_rejected_up_front_naming_key(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "run.cfg"
+        csi = "csi_enabled = true\n" if CONFIG_KEYS[key][0] == "csi" else ""
+        cfg.write_text(f"realizations = 1\n{csi}{key} = {value}\n")
+        assert cli.main(["sweep", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {key}: must be a finite number")
         assert captured.out == ""
 
 

@@ -37,6 +37,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             CsiConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "name", ["pilot_amplitude", "noise_variance", "frame_length", "acquisition_time"]
+    )
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_naming_field(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            CsiConfig(**{name: value})
+
     def test_default_duty_factor(self):
         assert CsiConfig().duty_factor == pytest.approx(0.92, rel=1e-12)
 

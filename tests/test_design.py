@@ -170,6 +170,12 @@ class TestScheme:
         with pytest.raises(ValueError):
             DesignScheme(kind="up", power_budget=0.0)
 
+    @pytest.mark.parametrize("name", ["power_budget", "beta"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_rejected_naming_field(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            DesignScheme(kind="smf", **{name: value})
+
     def test_smf_beta_validated(self):
         with pytest.raises(ValueError):
             DesignScheme(kind="smf", beta=0.0)

@@ -57,6 +57,12 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match="distances"):
                 ExperimentConfig(distances=(1.0, bad)).validate()
 
+    @pytest.mark.parametrize("name", ["power_budget", "beta", "f0", "band_limit"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_scalars_name_their_fields(self, name, value):
+        with pytest.raises(ValueError, match=f"{name}: must be positive and finite"):
+            ExperimentConfig(**{name: value}).validate()
+
     def test_mrt_multitone_rejected(self):
         cfg = ExperimentConfig(schemes=("mrt",), tone_counts=(1, 8))
         with pytest.raises(ValueError, match="mrt requires n_tones = 1"):

@@ -59,6 +59,12 @@ class TestParams:
         with pytest.raises(ValueError):
             RectifierParams(**kwargs)
 
+    @pytest.mark.parametrize("name", ["k2", "k4", "r_ant"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_naming_field(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            RectifierParams(**{name: value})
+
 
 class TestReceivedTones:
     def test_shape_mismatch_rejected(self):
@@ -197,6 +203,13 @@ class TestTimeOracle:
             z_ref = z_dc_time_oracle(tones, PARAMS)
             worst = max(worst, abs(z - z_ref) / abs(z_ref))
         assert worst <= 1e-10
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=st.lists(tone_amplitudes, min_size=1, max_size=8), q0=st.integers(16, 64))
+    def test_agrees_on_any_tones_up_to_eight(self, a, q0):
+        tones = make_tones(a, f0=q0 * 1e6, delta_f=1e6)
+        z_ref = z_dc_time_oracle(tones, PARAMS)
+        assert abs(z_dc(tones, PARAMS) - z_ref) <= 1e-8 * abs(z_ref)
 
     def test_agrees_at_512_tones(self):
         rng = make_rng(301)
