@@ -1,15 +1,17 @@
 """MISO fading channels: power-law path loss and seeded frequency responses.
 
-Two small-scale models are provided.  `frequency_flat` draws one CN(0, 1)
-coefficient per antenna and repeats it on every tone.  `tapped_delay` builds
-the response from L taps at fixed delays with an exponential power-delay
-profile, which makes tones decorrelate as the delay spread grows while each
-tone stays CN(0, 1).
+Two small-scale models are provided.  `tapped_delay` builds the response
+from L taps at fixed delays with an exponential power-delay profile, which
+makes tones decorrelate as the delay spread grows while each tone stays
+CN(0, 1).  `frequency_flat` is its one-tap case: a single tap at zero delay,
+so one CN(0, 1) coefficient per antenna is shared by every tone.
 
 Sampling is deterministic: a realization is a pure function of the model,
 grid, antenna count, and an integer seed.  Independent seeds for large
 ensembles come from `derive_seed`, a counter-style split of one master seed,
-so ensembles are reproducible no matter how the work is scheduled.
+so ensembles are reproducible no matter how the work is scheduled.  Every
+seeded CN(0, 1) draw, channel taps and CSI noise alike, goes through
+`unit_normals`.
 """
 
 from __future__ import annotations
@@ -142,6 +144,42 @@ def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
+def unit_normals(seeds, shape) -> np.ndarray:
+    """CN(0, 1) draws of shape seeds.shape + shape, one block per seed.
+
+    The block a seed s indexes equals `complex_normal(make_rng(s), shape)`
+    bit for bit; a scalar seed is that definition itself.  For an array of
+    seeds in [0, 2**64), one Philox is re-keyed per seed with the keys of
+    `philox_keys`: a zero counter and an empty buffer replay the stream of
+    `make_rng(s)`, real parts first, then imaginary parts.
+    """
+    # The isinstance test spares the per-realization caller np.ndim's ~2 us
+    # on a Python int.
+    if isinstance(seeds, int) or np.ndim(seeds) == 0:
+        return complex_normal(make_rng(seeds), shape)
+    keys = philox_keys(seeds)
+    shape = tuple(shape)
+    draws = np.empty(keys.shape[:-1] + (2,) + shape)
+    blocks = draws.reshape((keys.size // 2, 2) + shape)
+    bitgen = np.random.Philox(0)
+    rng = np.random.Generator(bitgen)
+    stream = {"counter": [0, 0, 0, 0], "key": None}
+    state = {
+        "bit_generator": "Philox",
+        "state": stream,
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    for key, out in zip(keys.reshape(-1, 2).tolist(), blocks):
+        stream["key"] = key
+        bitgen.state = state
+        rng.standard_normal(out=out)
+    re, im = np.moveaxis(draws, keys.ndim - 1, 0)
+    return (re + 1j * im) / np.sqrt(2.0)
+
+
 @dataclass(frozen=True)
 class ChannelModel:
     """Statistical channel description plus the large-scale power law.
@@ -172,8 +210,9 @@ class ChannelModel:
                 raise ValueError(f"{name} must be positive and finite")
 
     def tap_delays(self) -> np.ndarray:
-        """Tap delays in seconds, uniformly spaced over the delay spread."""
-        if self.n_taps == 1:
+        """Tap delays in seconds, uniformly spaced over the delay spread; a
+        frequency-flat channel is one tap at zero delay."""
+        if self.kind == FREQUENCY_FLAT:
             return np.zeros(1)
         return np.linspace(0.0, self.delay_spread, self.n_taps)
 
@@ -236,7 +275,7 @@ def path_loss(model: ChannelModel, distance: float) -> float:
 @functools.lru_cache(maxsize=64)
 def _tap_response(model: ChannelModel, grid: ToneGrid) -> tuple[np.ndarray, np.ndarray]:
     """Read-only tap amplitudes sqrt(p_l), shape (L, 1), and steering
-    matrix exp(-j 2 pi f_n tau_l), shape (N, L), of a tapped-delay model."""
+    matrix exp(-j 2 pi f_n tau_l), shape (N, L), of a channel model."""
     amplitudes = np.sqrt(model.tap_powers())[:, None]
     steering = np.exp(-2j * np.pi * np.outer(grid.frequencies, model.tap_delays()))
     amplitudes.flags.writeable = False
@@ -253,22 +292,18 @@ def sample_channel(
 ) -> ChannelRealization:
     """Draw one channel realization; a pure function of its arguments.
 
-    frequency_flat: one CN(0, 1) per antenna shared by all tones.
-    tapped_delay:   h[n, m] = sum_l alpha[l, m] exp(-j 2 pi f_n tau_l) with
+    h[n, m] = sum_l alpha[l, m] exp(-j 2 pi f_n tau_l) with
     alpha[l, m] ~ CN(0, p_l) and p the unit-sum exponential profile, so each
     tone is CN(0, 1) and cross-tone correlation shrinks with delay spread.
+    A frequency-flat model has the one tap tau = 0, p = 1: one CN(0, 1) per
+    antenna shared by all tones.
     """
     if m_antennas < 1:
         raise ValueError("m_antennas must be >= 1")
-    rng = make_rng(seed)
-    if model.kind == FREQUENCY_FLAT:
-        g = complex_normal(rng, (1, m_antennas))
-        h = np.repeat(g, grid.n_tones, axis=0)
-    else:
-        amplitudes, steering = _tap_response(model, grid)
-        alpha = complex_normal(rng, (model.n_taps, m_antennas))
-        alpha *= amplitudes
-        h = steering @ alpha
+    amplitudes, steering = _tap_response(model, grid)
+    alpha = unit_normals(seed, (amplitudes.shape[0], m_antennas))
+    alpha *= amplitudes
+    h = steering @ alpha
     return ChannelRealization(
         h=h, path_loss=path_loss(model, distance), distance=distance
     )

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, philox_keys, seed_array
+from .channel import ChannelRealization, seed_array, unit_normals
 from .design import DesignScheme, apply_design, effective_channel
 from .rectifier import RectifierParams, received_tones, z_dc
 from .signals import ToneGrid
@@ -90,31 +90,7 @@ def ls_estimate(
             f"noise seeds of shape {seeds.shape} do not match the leading "
             f"axes of the pilot shape {pilot.shape}"
         )
-    # One Philox re-keyed per seed replays that seed's make_rng stream: a
-    # zero counter and an empty buffer, then the real parts and the
-    # imaginary parts of the block the seed indexes.
-    block = pilot.shape[seeds.ndim :]
-    draws = np.empty(seeds.shape + (2,) + block)
-    bitgen = np.random.Philox(0)
-    rng = np.random.Generator(bitgen)
-    stream = {"counter": [0, 0, 0, 0], "key": None}
-    state = {
-        "bit_generator": "Philox",
-        "state": stream,
-        "buffer": [0, 0, 0, 0],
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    for key, out in zip(
-        philox_keys(seeds).reshape(-1, 2).tolist(),
-        draws.reshape((-1, 2) + block),
-    ):
-        stream["key"] = key
-        bitgen.state = state
-        rng.standard_normal(out=out)
-    re, im = np.moveaxis(draws, seeds.ndim, 0)
-    unit = (re + 1j * im) / np.sqrt(2.0)
+    unit = unit_normals(seeds, pilot.shape[seeds.ndim :])
     return (received + np.sqrt(cfg.noise_variance) * unit) / pilot
 
 

@@ -344,6 +344,21 @@ class PaperCheckReport:
         return out
 
 
+# Range-gain claims: (name, new curve, reference curve, target power, lo, hi).
+# A curve is a reference curve (scheme, N, M) or "base", the single-tone,
+# single-antenna baseline; the target is `p_target` or the baseline's
+# amplitude "base.a".
+_RANGE_CLAIMS = (
+    ("tone-gain-2v1", ("smf", 2, 1), ("smf", 1, 1), "p_target", 1.05, 1.25),
+    ("tone-gain-4v2", ("smf", 4, 1), ("smf", 2, 1), "p_target", 1.05, 1.25),
+    ("tone-gain-8v4", ("smf", 8, 1), ("smf", 4, 1), "p_target", 1.05, 1.25),
+    ("antenna-gain-2v1", ("mrt", 1, 2), "base", "p_target", 1.50, 1.80),
+    ("antenna-gain-4v2", ("mrt", 1, 4), ("mrt", 1, 2), "p_target", 1.50, 1.80),
+    ("antenna-gain-8v4", ("mrt", 1, 8), ("mrt", 1, 4), "p_target", 1.50, 1.80),
+    ("range-expansion-8ant", ("mrt", 1, 8), "base", "base.a", 3.7, 5.2),
+)
+
+
 def paper_check(p_target: float = 2.0) -> PaperCheckReport:
     """Check the headline range and stacking claims of the reference curves.
 
@@ -354,49 +369,16 @@ def paper_check(p_target: float = 2.0) -> PaperCheckReport:
     amplitude gains, and the stability of the decay exponent.
     """
     base = paper_baseline()
+    targets = {"p_target": p_target, "base.a": base.a}
+
+    def curve(key):
+        return base if key == "base" else paper_fit(*key)
+
     checks = [
-        ClaimCheck(
-            "tone-gain-2v1",
-            range_gain(paper_fit("smf", 2, 1), paper_fit("smf", 1, 1), p_target),
-            1.05,
-            1.25,
-        ),
-        ClaimCheck(
-            "tone-gain-4v2",
-            range_gain(paper_fit("smf", 4, 1), paper_fit("smf", 2, 1), p_target),
-            1.05,
-            1.25,
-        ),
-        ClaimCheck(
-            "tone-gain-8v4",
-            range_gain(paper_fit("smf", 8, 1), paper_fit("smf", 4, 1), p_target),
-            1.05,
-            1.25,
-        ),
-        ClaimCheck(
-            "antenna-gain-2v1",
-            range_gain(paper_fit("mrt", 1, 2), base, p_target),
-            1.50,
-            1.80,
-        ),
-        ClaimCheck(
-            "antenna-gain-4v2",
-            range_gain(paper_fit("mrt", 1, 4), paper_fit("mrt", 1, 2), p_target),
-            1.50,
-            1.80,
-        ),
-        ClaimCheck(
-            "antenna-gain-8v4",
-            range_gain(paper_fit("mrt", 1, 8), paper_fit("mrt", 1, 4), p_target),
-            1.50,
-            1.80,
-        ),
-        ClaimCheck(
-            "range-expansion-8ant",
-            range_gain(paper_fit("mrt", 1, 8), base, base.a),
-            3.7,
-            5.2,
-        ),
+        ClaimCheck(name, range_gain(curve(new), curve(ref), targets[target]), lo, hi)
+        for name, new, ref, target, lo, hi in _RANGE_CLAIMS
+    ]
+    checks += [
         ClaimCheck(
             "cumulative-amplitude",
             compose_cumulative(

@@ -34,8 +34,9 @@ DEFAULT_BAND_LIMIT = 10e6
 class ToneGrid:
     """Evenly spaced tone comb: tone n sits at ``f0 + n * delta_f`` Hz.
 
-    The occupied bandwidth ``(n_tones - 1) * delta_f`` may not exceed
-    `band_limit`.
+    `f0` and `delta_f` are positive and finite.  The occupied bandwidth
+    ``(n_tones - 1) * delta_f`` may not exceed `band_limit`, which is
+    positive and may be inf.
     """
 
     f0: float
@@ -46,10 +47,11 @@ class ToneGrid:
     def __post_init__(self) -> None:
         if self.n_tones < 1:
             raise ValueError("n_tones must be >= 1")
-        if not self.delta_f > 0:
-            raise ValueError("delta_f must be positive")
-        if not self.f0 > 0:
-            raise ValueError("f0 must be positive")
+        for name in ("f0", "delta_f"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not self.band_limit > 0:
+            raise ValueError("band_limit must be positive")
         occupied = (self.n_tones - 1) * self.delta_f
         if occupied > self.band_limit:
             raise ValueError(

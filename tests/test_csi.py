@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wptsim.channel import (
     ChannelModel,
@@ -204,3 +206,104 @@ class TestFrameLoop:
                 seed=0,
                 grid=ToneGrid.for_band(2),
             )
+
+
+class _EstimateSeen(Exception):
+    """Carries the channel estimate `csi_loop_zdc` hands to its design."""
+
+
+def estimate_seen_by_design(channel, cfg, seeds, grid):
+    def spy(scheme, believed, grid=None):
+        raise _EstimateSeen(believed.h)
+
+    scheme = DesignScheme(kind="mrt", power_budget=1.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("wptsim.csi.apply_design", spy)
+        with pytest.raises(_EstimateSeen) as seen:
+            csi_loop_zdc(channel, scheme, cfg, PARAMS, seeds, grid=grid)
+    return seen.value.args[0]
+
+
+def channel_block(model, n_tones, m_antennas, master, count):
+    grid = ToneGrid.for_band(n_tones)
+    h = np.stack(
+        [
+            sample_channel(model, grid, m_antennas, derive_seed(master, r)).h
+            for r in range(count)
+        ]
+    )
+    return ChannelRealization(h=h, path_loss=1.0, distance=1.0), grid
+
+
+SELECTIVE = ChannelModel(kind="tapped_delay", path_loss_ref=1.0)
+EPS = np.finfo(float).eps
+
+
+class TestEstimateProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n_tones=st.integers(1, 8),
+        m_antennas=st.integers(1, 4),
+        count=st.integers(1, 4),
+        master=st.integers(0, 2**32),
+        pilot_amplitude=st.floats(0.01, 100.0),
+    )
+    def test_noiseless_unquantized_estimate_is_the_channel(
+        self, n_tones, m_antennas, count, master, pilot_amplitude
+    ):
+        channel, grid = channel_block(SELECTIVE, n_tones, m_antennas, master, count)
+        cfg = CsiConfig(
+            pilot_amplitude=pilot_amplitude,
+            noise_variance=0.0,
+            quant_bits_per_component=None,
+        )
+        estimate = estimate_seen_by_design(channel, cfg, list(range(count)), grid)
+        np.testing.assert_allclose(estimate, channel.h, rtol=4 * EPS, atol=0.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n_tones=st.integers(1, 8),
+        m_antennas=st.integers(1, 4),
+        count=st.integers(1, 4),
+        master=st.integers(0, 2**32),
+        pilot_amplitude=st.floats(0.01, 100.0),
+        bits=st.integers(2, 12),
+    )
+    def test_quantized_estimate_within_half_a_step(
+        self, n_tones, m_antennas, count, master, pilot_amplitude, bits
+    ):
+        channel, grid = channel_block(SELECTIVE, n_tones, m_antennas, master, count)
+        cfg = CsiConfig(
+            pilot_amplitude=pilot_amplitude,
+            noise_variance=0.0,
+            quant_bits_per_component=bits,
+        )
+        estimate = estimate_seen_by_design(channel, cfg, list(range(count)), grid)
+        h = channel.h
+        peak = np.maximum(
+            np.abs(h.real).max(axis=(-2, -1), keepdims=True),
+            np.abs(h.imag).max(axis=(-2, -1), keepdims=True),
+        )
+        bound = peak / (2.0**bits - 1.0) + 8 * EPS * peak
+        assert np.all(np.abs(estimate.real - h.real) <= bound)
+        assert np.all(np.abs(estimate.imag - h.imag) <= bound)
+
+    @pytest.mark.parametrize(
+        "kind, model, n_tones, m_antennas",
+        [("mrt", FLAT, 1, 4), ("smf", SELECTIVE, 4, 2), ("up", SELECTIVE, 4, 2)],
+    )
+    def test_mean_output_does_not_rise_with_noise(
+        self, kind, model, n_tones, m_antennas
+    ):
+        count = 400
+        channel, grid = channel_block(model, n_tones, m_antennas, 60, count)
+        scheme = DesignScheme(kind=kind, power_budget=1.0)
+        seeds = [derive_seed(61, r) for r in range(count)]
+        previous = None
+        for variance in (0.0, 0.01, 0.1, 0.3, 1.0, 3.0):
+            cfg = CsiConfig(noise_variance=variance)
+            z = csi_loop_zdc(channel, scheme, cfg, PARAMS, seeds, grid=grid)
+            mean, sem = np.mean(z), np.std(z, ddof=1) / np.sqrt(count)
+            if previous is not None:
+                assert mean <= previous + sem, (variance, mean, previous, sem)
+            previous = mean

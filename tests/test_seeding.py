@@ -1,23 +1,30 @@
 """Block seeding against numpy's own SeedSequence, Philox and Generator.
 
-`derive_seed`, `philox_keys` and the re-keyed generator inside `ls_estimate`
-reimplement or bypass numpy's seeding; each must agree with the plain
-per-seed construction bit for bit.
+`derive_seed`, `philox_keys` and the re-keyed generator inside
+`unit_normals` reimplement or bypass numpy's seeding; each must agree with
+the plain per-seed construction bit for bit.  Every channel model and the
+CSI noise draw through `unit_normals`.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wptsim.channel import (
+    FREQUENCY_FLAT,
+    TAPPED_DELAY,
+    ChannelModel,
     complex_normal,
     derive_seed,
     make_rng,
     philox_keys,
+    sample_channel,
     seed_array,
+    unit_normals,
 )
 from wptsim.csi import CsiConfig, ls_estimate
+from wptsim.signals import ToneGrid
 
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
 seeds = st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**64 - 1))
@@ -174,3 +181,55 @@ class TestLsEstimate:
         seed = derive_seed(*path)
         assert seed_array(seed, "noise_seed") == seed
         ls_estimate(np.ones((1, 1)), np.ones((1, 1)), seed, CFG)
+
+
+@st.composite
+def seed_batches(draw):
+    """Seeds of shape (), (R,), (R1, R2) or an empty batch."""
+    seed_shape = draw(st.sampled_from([(), (3,), (2, 3), (0,), (2, 0)]))
+    count = int(np.prod(seed_shape, dtype=int))
+    values = draw(st.lists(seeds, min_size=count, max_size=count))
+    return np.array(values, dtype=np.uint64).reshape(seed_shape)
+
+
+class TestUnitNormals:
+    @settings(max_examples=40, deadline=None)
+    @given(seed_batches(), st.lists(st.integers(0, 4), max_size=2).map(tuple))
+    @example(np.array(0, dtype=np.uint64), (3,))
+    @example(np.array(2**64 - 1, dtype=np.uint64), (2, 2))
+    @example(np.array([0, 2**64 - 1], dtype=np.uint64), (4, 3))
+    def test_equals_stacked_complex_normal(self, batch, shape):
+        expected = np.empty(batch.shape + shape, dtype=np.complex128)
+        for index in np.ndindex(batch.shape):
+            expected[index] = complex_normal(make_rng(int(batch[index])), shape)
+        assert np.array_equal(unit_normals(batch, shape), expected)
+        assert np.array_equal(unit_normals(batch.tolist(), shape), expected)
+
+
+class TestOneTapFlat:
+    def test_flat_model_is_one_zero_delay_tap(self):
+        flat = ChannelModel(kind=FREQUENCY_FLAT, n_taps=8, delay_spread=1e-6)
+        assert np.array_equal(flat.tap_delays(), [0.0])
+        assert np.array_equal(flat.tap_powers(), [1.0])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_taps=st.integers(1, 16),
+        delay_spread=st.floats(0.0, 2e-6),
+        pdp_decay=st.floats(0.0, 1e8),
+        n_tones=st.integers(1, 16),
+        m_antennas=st.integers(1, 8),
+        seed=seeds,
+    )
+    def test_flat_equals_single_tap_draw(
+        self, n_taps, delay_spread, pdp_decay, n_tones, m_antennas, seed
+    ):
+        profile = dict(delay_spread=delay_spread, pdp_decay=pdp_decay)
+        flat = ChannelModel(kind=FREQUENCY_FLAT, n_taps=n_taps, **profile)
+        one_tap = ChannelModel(kind=TAPPED_DELAY, n_taps=1, **profile)
+        grid = ToneGrid.for_band(n_tones)
+        a = sample_channel(flat, grid, m_antennas, seed, distance=2.0)
+        b = sample_channel(one_tap, grid, m_antennas, seed, distance=2.0)
+        assert np.array_equal(a.h, b.h)
+        row = complex_normal(make_rng(seed), (1, m_antennas))
+        assert np.array_equal(a.h, np.repeat(row, n_tones, axis=0))

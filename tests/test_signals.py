@@ -1,5 +1,6 @@
 """Tone grids, precoder weights, and waveform synthesis."""
 
+import json
 import re
 
 import numpy as np
@@ -242,9 +243,16 @@ class TestWeightsIo:
             (lambda d: d["entries"][0].update(imag=float("inf")), "'imag'"),
             (lambda d: d.pop("f0"), "'f0'"),
             (lambda d: d.update(entries={}), "'entries'"),
+            (lambda d: d.update(json.loads('{"f0": Infinity}')), "f0 must"),
+            (lambda d: d.update(json.loads('{"f0": 1e999}')), "f0 must"),
+            (lambda d: d.update(f0=float("nan")), "f0 must"),
+            (lambda d: d.update(delta_f=float("inf")), "delta_f must"),
+            (lambda d: d.update(delta_f=float("nan")), "delta_f must"),
+            (lambda d: d.update(band_limit=float("nan")), "band_limit must"),
         ],
         ids=["huge-antenna", "duplicate", "fractional", "boolean", "inf", "no-f0",
-             "not-a-list"],
+             "not-a-list", "inf-f0", "overflow-f0", "nan-f0", "inf-delta_f",
+             "nan-delta_f", "nan-band_limit"],
     )
     def test_bad_files_rejected_naming_the_field(self, edit, field):
         data = weights_to_json(make_weights(np.ones((2, 2))))
