@@ -16,14 +16,14 @@ seeded CN(0, 1) draw, channel taps and CSI noise alike, goes through
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import ToneGrid, entries_from_json, entries_to_json, read_field
+from .signals import ToneGrid, csv_text, entries_from_json, entries_to_json
+from .signals import read_csv_entries, read_field
 
 FREQUENCY_FLAT = "frequency_flat"
 TAPPED_DELAY = "tapped_delay"
@@ -32,7 +32,7 @@ CHANNEL_KINDS = (FREQUENCY_FLAT, TAPPED_DELAY)
 DEFAULT_PATH_LOSS_REF = 263.0
 DEFAULT_PATH_LOSS_EXPONENT = 1.55
 
-_CHANNEL_FIELDS = ["tone", "antenna", "real", "imag", "path_loss", "distance"]
+CHANNEL_FIELDS = ["tone", "antenna", "real", "imag", "path_loss", "distance"]
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -332,31 +332,18 @@ def channel_from_json(data: dict) -> ChannelRealization:
 def save_channel_csv(channel: ChannelRealization, path: str) -> None:
     """Write `tone,antenna,real,imag,path_loss,distance` rows (full precision)."""
     tail = [format(channel.path_loss, ".17g"), format(channel.distance, ".17g")]
+    rows = (
+        [e["tone"], e["antenna"], format(e["real"], ".17g"), format(e["imag"], ".17g")]
+        + tail
+        for e in entries_to_json(channel.h)
+    )
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_CHANNEL_FIELDS)
-        for e in entries_to_json(channel.h):
-            parts = [format(e["real"], ".17g"), format(e["imag"], ".17g")]
-            writer.writerow([e["tone"], e["antenna"], *parts, *tail])
+        fh.write(csv_text(CHANNEL_FIELDS, rows))
 
 
 def load_channel_csv(path: str) -> ChannelRealization:
     """Inverse of `save_channel_csv`; all rows share one path loss and distance."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != _CHANNEL_FIELDS:
-            raise ValueError(
-                f"channel CSV must have header {','.join(_CHANNEL_FIELDS)}"
-            )
-        rows = list(reader)
-    if not rows:
-        raise ValueError("channel CSV holds no rows")
-    for i, row in enumerate(rows):
-        if None in row:
-            raise ValueError(
-                f"entries[{i}]: {len(row[None])} field(s) beyond "
-                f"{','.join(_CHANNEL_FIELDS)}"
-            )
+    rows = read_csv_entries(path, CHANNEL_FIELDS)
     channel = ChannelRealization(
         h=entries_from_json(rows),
         path_loss=read_field(rows[0], "path_loss"),

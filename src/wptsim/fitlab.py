@@ -9,12 +9,13 @@ a published desk-scale measurement campaign anchors the claim checks.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .signals import csv_text, read_csv_entries, read_field
 
 MEASUREMENT_FIELDS = ["scheme", "n_tones", "m_antennas", "distance_m", "p_dc"]
 
@@ -48,8 +49,11 @@ class MeasurementRecord:
             raise ValueError("n_tones must be >= 1")
         if self.m_antennas < 1:
             raise ValueError("m_antennas must be >= 1")
-        if not self.distance > 0:
-            raise ValueError("distance must be positive")
+        # Named by their measurement-CSV columns.
+        if not 0 < self.distance < math.inf:
+            raise ValueError("'distance_m' must be positive and finite")
+        if not math.isfinite(self.p_dc):
+            raise ValueError("'p_dc' must be finite")
 
 
 @dataclass(frozen=True)
@@ -203,39 +207,24 @@ def format_fit_report(report: dict, sig_digits: int = 9) -> str:
 
 
 def read_measurements_csv(path: str) -> list[MeasurementRecord]:
-    """Read `scheme,n_tones,m_antennas,distance_m,p_dc` rows."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != MEASUREMENT_FIELDS:
-            raise ValueError(
-                f"measurement CSV must have header {','.join(MEASUREMENT_FIELDS)}"
-            )
-        records = [
-            MeasurementRecord(
-                scheme=row["scheme"],
-                n_tones=int(row["n_tones"]),
-                m_antennas=int(row["m_antennas"]),
-                distance=float(row["distance_m"]),
-                p_dc=float(row["p_dc"]),
-            )
-            for row in reader
-        ]
-    if not records:
-        raise ValueError("measurement CSV holds no rows")
+    """Read `scheme,n_tones,m_antennas,distance_m,p_dc` rows by the rules of
+    `read_csv_entries`; a row that is rejected is named as ``entries[i]``."""
+    records = []
+    for i, row in enumerate(read_csv_entries(path, MEASUREMENT_FIELDS)):
+        try:
+            n, m = read_field(row, "n_tones", int), read_field(row, "m_antennas", int)
+            distance, p_dc = read_field(row, "distance_m"), read_field(row, "p_dc")
+            records.append(MeasurementRecord(row["scheme"], n, m, distance, p_dc))
+        except ValueError as exc:
+            raise ValueError(f"entries[{i}]: {exc}") from None
     return records
 
 
 def write_measurements_csv(path: str, records: list[MeasurementRecord]) -> None:
+    rows = (
+        [r.scheme, r.n_tones, r.m_antennas]
+        + [format(v, ".9g") for v in (r.distance, r.p_dc)]
+        for r in records
+    )
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(MEASUREMENT_FIELDS)
-        for r in records:
-            writer.writerow(
-                [
-                    r.scheme,
-                    r.n_tones,
-                    r.m_antennas,
-                    format(r.distance, ".9g"),
-                    format(r.p_dc, ".9g"),
-                ]
-            )
+        fh.write(csv_text(MEASUREMENT_FIELDS, rows))

@@ -13,8 +13,6 @@ the output.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -43,7 +41,7 @@ from .fitlab import (
     range_gain,
 )
 from .rectifier import RectifierParams, received_tones, z_dc
-from .signals import DEFAULT_BAND_LIMIT, DEFAULT_F0, ToneGrid
+from .signals import DEFAULT_BAND_LIMIT, DEFAULT_F0, ToneGrid, csv_text
 
 SWEEP_FIELDS = ["scheme", "n_tones", "m_antennas", "distance_m", "zdc_mean", "zdc_std"]
 CDF_FIELDS = ["scheme", "n_tones", "m_antennas", "zdc", "cdf"]
@@ -221,21 +219,14 @@ def run_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
 
 def sweep_to_csv(rows: list[SweepRow]) -> str:
     """Render sweep rows as CSV text (9 significant digits)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SWEEP_FIELDS)
-    for row in rows:
-        writer.writerow(
-            [
-                row.scheme,
-                row.n_tones,
-                row.m_antennas,
-                format(row.distance, ".9g"),
-                format(row.zdc_mean, ".9g"),
-                format(row.zdc_std, ".9g"),
-            ]
-        )
-    return buf.getvalue()
+    return csv_text(
+        SWEEP_FIELDS,
+        (
+            [row.scheme, row.n_tones, row.m_antennas]
+            + [format(v, ".9g") for v in (row.distance, row.zdc_mean, row.zdc_std)]
+            for row in rows
+        ),
+    )
 
 
 @dataclass(frozen=True)
@@ -290,21 +281,14 @@ def run_cdf(cfg: ExperimentConfig) -> list[CdfCurve]:
 
 def cdf_to_csv(curves: list[CdfCurve]) -> str:
     """Render CDF curves as CSV text (9 significant digits)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CDF_FIELDS)
-    for curve in curves:
-        for value, position in zip(curve.values, curve.positions):
-            writer.writerow(
-                [
-                    curve.scheme,
-                    curve.n_tones,
-                    curve.m_antennas,
-                    format(value, ".9g"),
-                    format(position, ".9g"),
-                ]
-            )
-    return buf.getvalue()
+    return csv_text(
+        CDF_FIELDS,
+        (
+            [c.scheme, c.n_tones, c.m_antennas, format(v, ".9g"), format(p, ".9g")]
+            for c in curves
+            for v, p in zip(c.values, c.positions)
+        ),
+    )
 
 
 @dataclass(frozen=True)

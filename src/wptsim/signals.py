@@ -9,12 +9,15 @@ Weight matrices are array-first: ``w`` has shape ``(..., n_tones,
 m_antennas)``, and any leading axes index independent realizations.  A 2-D
 matrix is the batch of one; per-realization quantities then come back as a
 float instead of an array.  Waveform synthesis and the file codecs take a
-single realization only.
+single realization only.  Every CSV table the program reads or writes goes
+through `csv_text` and `read_csv_entries`.
 """
 
 from __future__ import annotations
 
 import cmath
+import csv
+import io
 import json
 import math
 import operator
@@ -210,6 +213,34 @@ def read_field(record, key: str, kind: type = float, default=None):
         pass
     expected = "a number" if kind is float else "an integer"
     raise ValueError(f"{key!r} must be {expected}, got {value!r:.40}")
+
+
+def csv_text(fields, rows) -> str:
+    """CSV text: a header line of `fields`, then one line per row, "\\n"-ended."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(fields)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def read_csv_entries(path: str, fields) -> list[dict]:
+    """Rows of the CSV file at `path` as dicts keyed by `fields`, which must be
+    its exact header.  At least one row must follow, and a row with extra
+    fields is named as ``entries[i]``; a short row's missing keys hold None."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames != list(fields):
+            raise ValueError(f"CSV must have header {','.join(fields)}")
+        rows = list(reader)
+    if not rows:
+        raise ValueError("'entries': CSV holds no rows")
+    for i, row in enumerate(rows):
+        if None in row:
+            raise ValueError(
+                f"entries[{i}]: {len(row[None])} field(s) beyond {','.join(fields)}"
+            )
+    return rows
 
 
 def entries_to_json(matrix: np.ndarray) -> list[dict]:
