@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,15 +149,19 @@ def unit_normals(seeds, shape) -> np.ndarray:
     """CN(0, 1) draws of shape seeds.shape + shape, one block per seed.
 
     The block a seed s indexes equals `complex_normal(make_rng(s), shape)`
-    bit for bit; a scalar seed is that definition itself.  For an array of
-    seeds in [0, 2**64), one Philox is re-keyed per seed with the keys of
+    bit for bit; a scalar seed is that definition itself.  Seeds must be
+    integers in [0, 2**64), scalar or not, as `seed_array` checks.  For an
+    array of seeds, one Philox is re-keyed per seed with the keys of
     `philox_keys`: a zero counter and an empty buffer replay the stream of
     `make_rng(s)`, real parts first, then imaginary parts.
     """
-    # The isinstance test spares the per-realization caller np.ndim's ~2 us
-    # on a Python int.
-    if isinstance(seeds, int) or np.ndim(seeds) == 0:
+    # An in-range Python int, the per-realization caller's seed, skips
+    # seed_array's ~3 us.
+    if isinstance(seeds, int) and 0 <= seeds < 2**64:
         return complex_normal(make_rng(seeds), shape)
+    seeds = seed_array(seeds)
+    if seeds.ndim == 0:
+        return complex_normal(make_rng(int(seeds)), shape)
     keys = philox_keys(seeds)
     shape = tuple(shape)
     draws = np.empty(keys.shape[:-1] + (2,) + shape)
@@ -266,10 +271,21 @@ class ChannelRealization:
 
 
 def path_loss(model: ChannelModel, distance: float) -> float:
-    """Large-scale attenuation ref * d^exponent; errors on d <= 0."""
+    """Large-scale attenuation ref * d^exponent; errors on d <= 0 and on a
+    result that over- or underflows."""
     if not distance > 0:
         raise ValueError("distance must be positive")
-    return model.path_loss_ref * distance**model.path_loss_exponent
+    try:
+        loss = model.path_loss_ref * float(distance) ** model.path_loss_exponent
+    except OverflowError:
+        loss = math.inf
+    if not 0 < loss < math.inf:
+        raise ValueError(
+            f"path loss path_loss_ref * distance**path_loss_exponent = "
+            f"{model.path_loss_ref:g} * {distance:g}**{model.path_loss_exponent:g} "
+            "is not positive and finite"
+        )
+    return loss
 
 
 @functools.lru_cache(maxsize=64)

@@ -22,16 +22,18 @@ MEASUREMENT_FIELDS = ["scheme", "n_tones", "m_antennas", "distance_m", "p_dc"]
 
 @dataclass(frozen=True)
 class PowerLawFit:
-    """Decay law p(d) = a d^b with a > 0 and b < 0."""
+    """Decay law p(d) = a d^b with finite a > 0 and b < 0."""
 
     a: float
     b: float
 
     def __post_init__(self) -> None:
-        if not self.a > 0:
-            raise ValueError("a must be positive")
-        if not self.b < 0:
-            raise ValueError("b must be negative (power decays with distance)")
+        if not 0 < self.a < math.inf:
+            raise ValueError("a must be positive and finite")
+        if not -math.inf < self.b < 0:
+            raise ValueError(
+                "b must be negative and finite (power decays with distance)"
+            )
 
 
 @dataclass(frozen=True)
@@ -112,7 +114,9 @@ def fit_power_law(records: list[MeasurementRecord]) -> PowerLawFit:
     x = np.log(distances)
     y = np.log(np.array([r.p_dc for r in records], dtype=float))
     slope, intercept = np.polyfit(x, y, 1)
-    return PowerLawFit(a=float(np.exp(intercept)), b=float(slope))
+    with np.errstate(over="ignore"):  # PowerLawFit rejects an infinite a
+        a = float(np.exp(intercept))
+    return PowerLawFit(a=a, b=float(slope))
 
 
 def predict_pdc(fit: PowerLawFit, distance: float) -> float:
@@ -124,8 +128,8 @@ def predict_pdc(fit: PowerLawFit, distance: float) -> float:
 
 def invert_range(fit: PowerLawFit, p_target: float) -> float:
     """Distance at which the fitted law delivers `p_target`."""
-    if not p_target > 0:
-        raise ValueError("p_target must be positive")
+    if not 0 < p_target < math.inf:
+        raise ValueError("p_target must be positive and finite")
     return (p_target / fit.a) ** (1.0 / fit.b)
 
 
@@ -173,11 +177,15 @@ def fit_report(records: list[MeasurementRecord]) -> dict:
     """Fit every (scheme, n_tones, m_antennas) group and report coefficients.
 
     Returns a JSON-ready dict: one entry per group with a, b, the log-space
-    residual RMS, and the record count.
+    residual RMS, and the record count.  A group that cannot be fitted raises
+    ValueError prefixed with the group, as in "smf N=1 M=1: ...".
     """
     fits = []
     for (scheme, n_tones, m_antennas), group in group_records(records).items():
-        fit = fit_power_law(group)
+        try:
+            fit = fit_power_law(group)
+        except ValueError as exc:
+            raise ValueError(f"{scheme} N={n_tones} M={m_antennas}: {exc}") from None
         fits.append(
             {
                 "scheme": scheme,

@@ -22,6 +22,7 @@ from .channel import (
     ChannelModel,
     ChannelRealization,
     derive_seed,
+    path_loss,
     sample_channel,
 )
 from .csi import CsiConfig, csi_loop_zdc
@@ -98,6 +99,12 @@ class ExperimentConfig:
             problems.append("distances: must list at least one distance")
         if not all(0 < d < np.inf for d in self.distances):
             problems.append("distances: distances must be positive and finite")
+        else:
+            for distance in self.distances:
+                try:
+                    path_loss(self.channel_model, distance)
+                except ValueError as exc:
+                    problems.append(f"distances: {exc}")
         if self.realizations < 1:
             problems.append("realizations: must be >= 1")
         if self.seed < 0:
@@ -198,20 +205,28 @@ def run_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
 
     The standard deviation is the population spread of the per-realization
     values (zero when realizations = 1); the reduction is done in
-    realization-index order no matter how the values were produced.
+    realization-index order no matter how the values were produced.  Finite
+    values whose sum or spread overflows raise ValueError.
     """
     cfg.validate()
     rows = []
     for scheme_name, n_tones, m_antennas, distance, d_index in _cells(cfg):
         values = _zdc_ensemble(cfg, scheme_name, n_tones, m_antennas, distance, d_index)
+        with np.errstate(over="ignore", invalid="ignore"):
+            zdc_mean, zdc_std = float(values.mean()), float(values.std())
+        if not (np.isfinite(zdc_mean) and np.isfinite(zdc_std)):
+            raise ValueError(
+                f"{scheme_name} N={n_tones} M={m_antennas} d={distance:g}: zdc_mean "
+                "or zdc_std overflows; it grows with power_budget, k2, k4 and r_ant"
+            )
         rows.append(
             SweepRow(
                 scheme=scheme_name,
                 n_tones=n_tones,
                 m_antennas=m_antennas,
                 distance=distance,
-                zdc_mean=float(values.mean()),
-                zdc_std=float(values.std()),
+                zdc_mean=zdc_mean,
+                zdc_std=zdc_std,
             )
         )
     return rows
@@ -237,15 +252,16 @@ class CdfCurve:
     n_tones: int
     m_antennas: int
     values: np.ndarray
-    positions: np.ndarray
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float)
-        positions = np.asarray(self.positions, dtype=float)
         values.flags.writeable = False
-        positions.flags.writeable = False
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "positions", positions)
+
+    @property
+    def positions(self) -> np.ndarray:
+        """Plotting positions i / n, i = 1..n, of the sorted values."""
+        return np.arange(1, self.values.size + 1) / self.values.size
 
     @property
     def median(self) -> float:
@@ -263,20 +279,10 @@ def run_cdf(cfg: ExperimentConfig) -> list[CdfCurve]:
     for scheme_name, n_tones, m_antennas, distance, d_index in _cells(cfg):
         values = _zdc_ensemble(cfg, scheme_name, n_tones, m_antennas, distance, d_index)
         curves.setdefault((scheme_name, n_tones, m_antennas), []).append(values)
-    out = []
-    for key in sorted(curves):
-        pooled = np.sort(np.concatenate(curves[key]))
-        positions = np.arange(1, pooled.size + 1) / pooled.size
-        out.append(
-            CdfCurve(
-                scheme=key[0],
-                n_tones=key[1],
-                m_antennas=key[2],
-                values=pooled,
-                positions=positions,
-            )
-        )
-    return out
+    return [
+        CdfCurve(*key, values=np.sort(np.concatenate(curves[key])))
+        for key in sorted(curves)
+    ]
 
 
 def cdf_to_csv(curves: list[CdfCurve]) -> str:

@@ -117,10 +117,21 @@ def moment4(tones: ReceivedTones):
 
 
 def z_dc(tones: ReceivedTones, params: RectifierParams):
-    """Rectifier DC output k2 R m2 + k4 R^2 m4 (model units), per reception."""
-    m2 = moment2(tones)
-    m4 = moment4(tones)
-    return params.k2 * params.r_ant * m2 + params.k4 * params.r_ant**2 * m4
+    """Rectifier DC output k2 R m2 + k4 R^2 m4 (model units), per reception.
+
+    Finite tones can still overflow the fourth moment or the output; that
+    raises ValueError rather than returning inf or nan.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        m2 = moment2(tones)
+        m4 = moment4(tones)
+        z = params.k2 * params.r_ant * m2 + params.k4 * params.r_ant**2 * m4
+    if not np.isfinite(z).all():
+        raise ValueError(
+            "z_dc overflows: it grows with power_budget, k2, k4 and r_ant and "
+            "falls with the path loss (path_loss_ref, path_loss_exponent, distance)"
+        )
+    return z
 
 
 def min_oracle_samples(tones: ReceivedTones) -> int:

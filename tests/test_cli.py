@@ -1,14 +1,23 @@
 """End-to-end command-line runs through `main`, using real files on disk."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from wptsim import cli
-from wptsim.channel import ChannelModel, sample_channel, save_channel, save_channel_csv
-from wptsim.fitlab import MeasurementRecord, write_measurements_csv
-from wptsim.harness import CONFIG_KEYS
+from wptsim.channel import (
+    CHANNEL_FIELDS,
+    ChannelModel,
+    sample_channel,
+    save_channel,
+    save_channel_csv,
+)
+from wptsim.fitlab import MEASUREMENT_FIELDS, MeasurementRecord, write_measurements_csv
+from wptsim.harness import CDF_FIELDS, CONFIG_KEYS, SWEEP_FIELDS
 from wptsim.signals import ToneGrid, load_weights
 
 
@@ -133,6 +142,52 @@ class TestRejectedChannelFiles:
         assert captured.out == ""
 
 
+_MEASUREMENT_HEADER = "scheme,n_tones,m_antennas,distance_m,p_dc\n"
+_GOOD_ROW = "smf,1,1,1.5,0.25\n"
+
+# file name -> (file text, what the error line must name)
+_BAD_MEASUREMENT_FILES = {
+    "short.csv": (_MEASUREMENT_HEADER + "smf,1,1,2\n",
+                  "entries[0]: 'p_dc' is missing"),
+    "extra.csv": (_MEASUREMENT_HEADER + _GOOD_ROW + "smf,1,1,2,0.5,junk\n",
+                  "entries[1]: 1 field(s) beyond"),
+    "nanpdc.csv": (_MEASUREMENT_HEADER + "smf,1,1,2,nan\n", "entries[0]: 'p_dc'"),
+    "infpdc.csv": (_MEASUREMENT_HEADER + _GOOD_ROW + "smf,1,1,2,inf\n",
+                   "entries[1]: 'p_dc'"),
+    "infdist.csv": (_MEASUREMENT_HEADER + "smf,1,1,inf,0.5\n",
+                    "entries[0]: 'distance_m'"),
+    "zerodist.csv": (_MEASUREMENT_HEADER + _GOOD_ROW + "smf,1,1,0,0.5\n",
+                     "entries[1]: 'distance_m'"),
+    "nandist.csv": (_MEASUREMENT_HEADER + "smf,1,1,nan,0.5\n",
+                    "entries[0]: 'distance_m'"),
+    "words.csv": (_MEASUREMENT_HEADER + "smf,1,1,two,0.5\n",
+                  "entries[0]: 'distance_m'"),
+    "fractones.csv": (_MEASUREMENT_HEADER + "smf,1.5,1,2,0.5\n",
+                      "entries[0]: 'n_tones'"),
+    "booltones.csv": (_MEASUREMENT_HEADER + "smf,True,1,2,0.5\n",
+                      "entries[0]: 'n_tones'"),
+    "noantenna.csv": (_MEASUREMENT_HEADER + "smf,1,0,2,0.5\n",
+                      "entries[0]: m_antennas"),
+    "header.csv": ("scheme,n,m,d,p\n" + _GOOD_ROW,
+                   "header " + _MEASUREMENT_HEADER.strip()),
+    "norows.csv": (_MEASUREMENT_HEADER, "'entries': CSV holds no rows"),
+}
+
+
+class TestRejectedMeasurementFiles:
+    @pytest.mark.parametrize("name", sorted(_BAD_MEASUREMENT_FILES))
+    def test_exits_one_naming_row_and_key(self, tmp_path, capsys, name):
+        text, field = _BAD_MEASUREMENT_FILES[name]
+        path = tmp_path / name
+        path.write_text(text)
+        assert cli.main(["fit", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert field in captured.err
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+
 class TestSweepAndCdf:
     ARGS = ["--scheme", "smf", "--tones", "1,2", "--antennas", "1",
             "--realizations", "3", "--seed", "5"]
@@ -190,6 +245,38 @@ class TestSweepAndCdf:
         assert cli.main(["sweep", "--config", str(cfg)]) == 1
         captured = capsys.readouterr()
         assert key in captured.err
+        assert captured.out == ""
+
+
+# config lines -> what the error line must name; distances = 1,1000 unless set
+_OVERFLOWING_CONFIGS = {
+    "path_loss_exponent = 400": "path_loss_exponent",
+    "path_loss_ref = 1e-300": "path_loss_ref",
+    "power_budget = 1e200": "power_budget",
+    "distances = 1e-200": "distance",
+    "k4 = 1e300": "k4",
+}
+
+
+class TestOverflowingSettings:
+    @pytest.mark.parametrize("line", sorted(_OVERFLOWING_CONFIGS))
+    def test_rejected_with_one_error_line(self, tmp_path, capsys, line):
+        distances = "" if line.startswith("distances") else "distances = 1,1000\n"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"realizations = 2\n{distances}{line}\n")
+        assert cli.main(["sweep", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert _OVERFLOWING_CONFIGS[line] in captured.err
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    def test_zdc_power_overflow(self, channel_json, capsys):
+        argv = ["zdc", "--channel", channel_json, "--scheme", "mrt", "--power", "1e200"]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: z_dc overflows")
+        assert "power_budget" in captured.err
         assert captured.out == ""
 
 
@@ -262,6 +349,42 @@ class TestFitAndRange:
         assert cli.main(["range", "--target", "1.0", "--a", "5.0"]) == 1
         assert "together" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--target", "2", "--a", "inf", "--b", "-1.5"], "a must be positive"),
+            (["--target", "2", "--a", "nan", "--b", "-1.5"], "a must be positive"),
+            (["--target", "2", "--a", "8", "--b=-inf"], "b must be negative"),
+            (["--target", "inf"], "p_target must be positive"),
+            (["--target", "nan"], "p_target must be positive"),
+        ],
+    )
+    def test_non_finite_range_inputs_rejected(self, capsys, argv, message):
+        assert cli.main(["range", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message} and finite")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("smf,1,1,2,0.5\nsmf,1,1,2,0.4\n", "smf N=1 M=1: fit requires at least"),
+            ("smf,8,1,1,0.5\nsmf,8,1,2,0.9\n", "smf N=8 M=1: b must be negative"),
+            ("smf,1,1,1,0.5\nsmf,1,1,2,0.1\nmrt,1,2,1,0.5\nmrt,1,2,2,0\n",
+             "mrt N=1 M=2: fit requires strictly positive p_dc"),
+            ("up,1,1,1e300,1e300\nup,1,1,1e301,1e299\n",
+             "up N=1 M=1: a must be positive and finite"),
+        ],
+        ids=["one-distance", "rising", "zero-power", "amplitude-overflow"],
+    )
+    def test_unfittable_group_named(self, tmp_path, capsys, rows, message):
+        path = tmp_path / "meas.csv"
+        path.write_text(_MEASUREMENT_HEADER + rows)
+        assert cli.main(["fit", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.out == ""
+
 
 class TestPaperCheck:
     def test_passes_with_exit_zero(self, capsys):
@@ -284,3 +407,22 @@ class TestPaperCheck:
         monkeypatch.setattr(cli, "paper_check", broken)
         assert cli.main(["paper-check"]) == 2
         assert "FAIL" in capsys.readouterr().out
+
+
+class TestReadmeMatchesProgram:
+    README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+    def test_every_cli_example_parses(self):
+        block = self.README.split("\n## CLI\n", 1)[1].split("```")[1]
+        lines = block.replace("\\\n", " ").splitlines()
+        examples = [shlex.split(ln)[1:] for ln in lines if ln.startswith("wptsim ")]
+        assert len(examples) == 8
+        parser = cli.build_parser()
+        for argv in examples:
+            assert callable(parser.parse_args(argv).func)
+
+    def test_csv_headers_match_fields(self):
+        section = self.README.split("### File formats", 1)[1].split("\n## ", 1)[0]
+        headers = re.findall(r"`([a-z_]+(?:,[a-z_]+)+)`", section)
+        fields = [SWEEP_FIELDS, CDF_FIELDS, MEASUREMENT_FIELDS, CHANNEL_FIELDS]
+        assert headers == [",".join(f) for f in fields]

@@ -19,6 +19,7 @@ from wptsim.channel import (
 from wptsim.signals import (
     PrecoderWeights,
     ToneGrid,
+    csv_text,
     weights_from_json,
     weights_to_json,
 )
@@ -119,3 +120,8 @@ def test_dropping_or_duplicating_an_entry_is_rejected(codec, h, data):
     else:
         with pytest.raises(ValueError):
             _decode_matrix(codec, h, drop)
+
+
+def test_csv_text_quotes_only_where_needed_and_ends_lines_bare():
+    text = csv_text(["a", "b"], [[1, "x,y"], ["", 2.5]])
+    assert text == 'a,b\n1,"x,y"\n,2.5\n'

@@ -2,9 +2,13 @@
 
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wptsim.fitlab import (
     MEASUREMENT_FIELDS,
@@ -225,3 +229,33 @@ class TestMeasurementCsv:
         path.write_text(",".join(MEASUREMENT_FIELDS) + "\n")
         with pytest.raises(ValueError, match="no rows"):
             read_measurements_csv(str(path))
+
+
+measurement_records = st.builds(
+    MeasurementRecord,
+    scheme=st.sampled_from(["smf", "mrt", "up", "cw", "", "a,b", 'q"x']),
+    n_tones=st.integers(1, 2**40),
+    m_antennas=st.integers(1, 64),
+    distance=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    p_dc=st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+class TestMeasurementCsvRoundTrip:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(measurement_records, min_size=1, max_size=8))
+    def test_records_return_at_nine_digits_and_rewrite_identically(self, records):
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = os.path.join(tmp, "a.csv"), os.path.join(tmp, "b.csv")
+            write_measurements_csv(first, records)
+            loaded = read_measurements_csv(first)
+            write_measurements_csv(second, loaded)
+            with open(first, "rb") as fa, open(second, "rb") as fb:
+                assert fa.read() == fb.read()
+        assert loaded == [
+            MeasurementRecord(
+                r.scheme, r.n_tones, r.m_antennas,
+                float(format(r.distance, ".9g")), float(format(r.p_dc, ".9g")),
+            )
+            for r in records
+        ]

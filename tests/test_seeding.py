@@ -233,3 +233,35 @@ class TestOneTapFlat:
         assert np.array_equal(a.h, b.h)
         row = complex_normal(make_rng(seed), (1, m_antennas))
         assert np.array_equal(a.h, np.repeat(row, n_tones, axis=0))
+
+
+BAD_SEEDS = [-1, 2**64, 2**70, 1.5, 2.0, np.float64(3.0), "3", None]
+
+# draw function -> call with one seed, or with a list of one seed per block
+SEEDED_DRAWS = {
+    "unit_normals": lambda seed: unit_normals(seed, (1,)),
+    "sample_channel": lambda seed: sample_channel(
+        ChannelModel(), ToneGrid.for_band(2), 1, seed
+    ),
+    "ls_estimate": lambda seed: ls_estimate(
+        np.ones(np.shape(seed) + (1, 1)), np.ones(np.shape(seed) + (1, 1)), seed, CFG
+    ),
+}
+
+
+class TestOneSeedContract:
+    @pytest.mark.parametrize("draw", sorted(SEEDED_DRAWS))
+    @pytest.mark.parametrize("seed", BAD_SEEDS, ids=repr)
+    def test_scalar_and_list_are_rejected_alike(self, draw, seed):
+        messages = []
+        for given_seed in (seed, [seed]):
+            with pytest.raises(ValueError, match=r"integers in \[0, 2\*\*64\)") as info:
+                SEEDED_DRAWS[draw](given_seed)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, np.uint64(7), np.int8(3), True])
+    def test_scalar_and_list_accept_alike(self, seed):
+        expected = complex_normal(make_rng(int(seed)), (2,))
+        assert np.array_equal(unit_normals(seed, (2,)), expected)
+        assert np.array_equal(unit_normals([seed], (2,)), expected[None])
