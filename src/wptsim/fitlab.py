@@ -127,10 +127,20 @@ def predict_pdc(fit: PowerLawFit, distance: float) -> float:
 
 
 def invert_range(fit: PowerLawFit, p_target: float) -> float:
-    """Distance at which the fitted law delivers `p_target`."""
+    """Distance at which the fitted law delivers `p_target`; raises when that
+    distance is beyond float range."""
     if not 0 < p_target < math.inf:
         raise ValueError("p_target must be positive and finite")
-    return (p_target / fit.a) ** (1.0 / fit.b)
+    try:
+        distance = (p_target / fit.a) ** (1.0 / fit.b)
+    except OverflowError:
+        distance = math.inf
+    if not 0 < distance < math.inf:
+        raise ValueError(
+            f"range (p_target / a) ** (1 / b) = ({p_target:g} / {fit.a:g}) ** "
+            f"(1 / {fit.b:g}) is not positive and finite"
+        )
+    return distance
 
 
 def range_gain(fit_new: PowerLawFit, fit_ref: PowerLawFit, p_target: float) -> float:

@@ -366,6 +366,16 @@ class TestFitAndRange:
         assert captured.out == ""
 
     @pytest.mark.parametrize(
+        "target, b", [("2", "-2e-05"), ("1e10", "-1e-05")], ids=["inf", "0"]
+    )
+    def test_range_beyond_float_range_rejected(self, capsys, target, b):
+        assert cli.main(["range", "--target", target, "--a", "8", f"--b={b}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: range (p_target / a) ** (1 / b)")
+        assert captured.err.endswith("is not positive and finite\n")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
         "rows, message",
         [
             ("smf,1,1,2,0.5\nsmf,1,1,2,0.4\n", "smf N=1 M=1: fit requires at least"),
