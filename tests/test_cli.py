@@ -271,6 +271,14 @@ class TestOverflowingSettings:
         assert captured.err.count("\n") == 1
         assert captured.out == ""
 
+    def test_path_loss_checked_before_any_realization(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("distances = 1,1000\npath_loss_exponent = 400\n")
+        assert cli.main(["sweep", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: invalid experiment config: distances: path loss"
+        )
+
     def test_zdc_power_overflow(self, channel_json, capsys):
         argv = ["zdc", "--channel", channel_json, "--scheme", "mrt", "--power", "1e200"]
         assert cli.main(argv) == 1
