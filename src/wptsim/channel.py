@@ -11,7 +11,9 @@ grid, antenna count, and an integer seed.  Independent seeds for large
 ensembles come from `derive_seed`, a counter-style split of one master seed,
 so ensembles are reproducible no matter how the work is scheduled.  Every
 seeded CN(0, 1) draw, channel taps and CSI noise alike, goes through
-`unit_normals`.
+`unit_normals`, which re-keys one Philox per process for each seed instead
+of building a generator per seed; `make_rng` and `complex_normal` stay as
+the reference definitions it reproduces bit for bit.
 """
 
 from __future__ import annotations
@@ -69,7 +71,9 @@ def derive_seed(master_seed: int, *path: int) -> int:
             words.append(e & _MASK32)
             e >>= 32
     ss = np.random.SeedSequence(np.array(words, dtype=np.uint32))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
+    # generate_state(1, np.uint64) is these two words, low word first.
+    lo, hi = ss.generate_state(2).tolist()
+    return lo | hi << 32
 
 
 def seed_array(seeds, name: str = "seeds") -> np.ndarray:
@@ -145,44 +149,92 @@ def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
-def unit_normals(seeds, shape) -> np.ndarray:
-    """CN(0, 1) draws of shape seeds.shape + shape, one block per seed.
+_SQRT2 = math.sqrt(2.0)
 
-    The block a seed s indexes equals `complex_normal(make_rng(s), shape)`
-    bit for bit; a scalar seed is that definition itself.  Seeds must be
-    integers in [0, 2**64), scalar or not, as `seed_array` checks.  For an
-    array of seeds, one Philox is re-keyed per seed with the keys of
-    `philox_keys`: a zero counter and an empty buffer replay the stream of
-    `make_rng(s)`, real parts first, then imaginary parts.
+
+def _complex_unit(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """(re + 1j * im) / sqrt(2), the arithmetic of `complex_normal`, in one
+    complex buffer.  np.multiply keeps numpy's arithmetic when `im` is a
+    numpy float scalar, which `1j * im` would turn into a Python complex."""
+    z = np.multiply(1j, im)
+    z += re
+    z /= _SQRT2
+    return z
+
+
+@functools.cache
+def _philox() -> tuple:
+    """The process's one re-keyed Philox, its Generator and the state dict a
+    re-key writes: a zero counter and an empty buffer (buffer_pos 4).
+
+    Built on the first draw, so importing the package does not import
+    numpy.random.
     """
-    # An in-range Python int, the per-realization caller's seed, skips
-    # seed_array's ~3 us.
-    if isinstance(seeds, int) and 0 <= seeds < 2**64:
-        return complex_normal(make_rng(seeds), shape)
-    seeds = seed_array(seeds)
-    if seeds.ndim == 0:
-        return complex_normal(make_rng(int(seeds)), shape)
-    keys = philox_keys(seeds)
-    shape = tuple(shape)
-    draws = np.empty(keys.shape[:-1] + (2,) + shape)
-    blocks = draws.reshape((keys.size // 2, 2) + shape)
     bitgen = np.random.Philox(0)
-    rng = np.random.Generator(bitgen)
-    stream = {"counter": [0, 0, 0, 0], "key": None}
     state = {
         "bit_generator": "Philox",
-        "state": stream,
+        "state": {"counter": [0, 0, 0, 0], "key": None},
         "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
-    for key, out in zip(keys.reshape(-1, 2).tolist(), blocks):
-        stream["key"] = key
-        bitgen.state = state
-        rng.standard_normal(out=out)
-    re, im = np.moveaxis(draws, keys.ndim - 1, 0)
-    return (re + 1j * im) / np.sqrt(2.0)
+    return bitgen, np.random.Generator(bitgen), state
+
+
+def _fill_normals(keys, blocks) -> None:
+    """Fill each block with the standard normals of a Philox holding the
+    matching key, as `make_rng` of that key's seed would draw them.
+
+    The re-keys and draws run under the bit generator's lock (an RLock,
+    which the draw itself takes again), so threads never interleave them.
+    """
+    bitgen, rng, state = _philox()
+    stream = state["state"]
+    with bitgen.lock:
+        for key, out in zip(keys, blocks):
+            stream["key"] = key
+            bitgen.state = state
+            rng.standard_normal(out=out)
+
+
+def _one_seed_normals(seed: int, shape) -> np.ndarray:
+    """`complex_normal(make_rng(seed), shape)` through the re-keyed Philox,
+    its key from numpy's own SeedSequence hash."""
+    words = np.random.SeedSequence(seed).generate_state(4).tolist()
+    draws = np.empty((2, *shape))
+    _fill_normals([[words[0] | words[1] << 32, words[2] | words[3] << 32]], [draws])
+    return _complex_unit(draws[0], draws[1])
+
+
+def unit_normals(seeds, shape) -> np.ndarray:
+    """CN(0, 1) draws of shape seeds.shape + shape, one block per seed.
+
+    The block a seed s indexes equals `complex_normal(make_rng(s), shape)`
+    bit for bit: the real parts, then the imaginary parts, of the stream of
+    a Philox keyed `SeedSequence(s).generate_state(2, np.uint64)` with a
+    zero counter and an empty buffer.  Seeds must be integers in
+    [0, 2**64), scalar or not, as `seed_array` checks.
+
+    Every seed re-keys the same per-process Philox instead of building a
+    SeedSequence, a Philox and a Generator of its own.  A scalar seed is the
+    batch of one, keyed by numpy's SeedSequence; an array of seeds takes
+    its keys from `philox_keys`, one hash over the whole block.
+    """
+    # An in-range Python int, the per-realization caller's seed, skips
+    # seed_array's ~3 us.
+    if isinstance(seeds, int) and 0 <= seeds < 2**64:
+        return _one_seed_normals(seeds, shape)
+    seeds = seed_array(seeds)
+    if seeds.ndim == 0:
+        return _one_seed_normals(int(seeds), shape)
+    keys = philox_keys(seeds)
+    shape = tuple(shape)
+    draws = np.empty(keys.shape[:-1] + (2,) + shape)
+    _fill_normals(
+        keys.reshape(-1, 2).tolist(), draws.reshape((keys.size // 2, 2) + shape)
+    )
+    return _complex_unit(*np.moveaxis(draws, keys.ndim - 1, 0))
 
 
 @dataclass(frozen=True)
@@ -214,12 +266,16 @@ class ChannelModel:
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite")
 
+    @property
+    def tap_count(self) -> int:
+        """Taps drawn per antenna: `n_taps`, or one for a frequency-flat
+        channel."""
+        return 1 if self.kind == FREQUENCY_FLAT else self.n_taps
+
     def tap_delays(self) -> np.ndarray:
         """Tap delays in seconds, uniformly spaced over the delay spread; a
         frequency-flat channel is one tap at zero delay."""
-        if self.kind == FREQUENCY_FLAT:
-            return np.zeros(1)
-        return np.linspace(0.0, self.delay_spread, self.n_taps)
+        return np.linspace(0.0, self.delay_spread, self.tap_count)
 
     def tap_powers(self) -> np.ndarray:
         """Exponential power-delay profile normalized to unit total power."""
@@ -245,7 +301,7 @@ class ChannelRealization:
             raise ValueError("h must be at least 2-D: (..., n_tones, m_antennas)")
         if h.shape[-2] < 1 or h.shape[-1] < 1:
             raise ValueError("h must have at least one tone and one antenna")
-        if not np.all(np.isfinite(h)):
+        if not np.isfinite(h).all():
             raise ValueError("h entries must be finite")
         for name in ("path_loss", "distance"):
             if not 0 < getattr(self, name) < np.inf:

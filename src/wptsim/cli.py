@@ -100,18 +100,29 @@ def _cmd_zdc(args: argparse.Namespace) -> int:
     return _EXIT_OK
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _run_experiment(args: argparse.Namespace, run, to_csv) -> int:
+    """Run a sweep or CDF and write its CSV; running out of memory is an
+    invalid config naming the keys that size the arrays."""
     cfg = _experiment_config(args)
-    text = sweep_to_csv(run_sweep(cfg))
+    try:
+        text = to_csv(run(cfg))
+    except MemoryError:
+        raise ValueError(
+            f"out of memory: realizations = {cfg.realizations}, tones up to "
+            f"{max(cfg.tone_counts)}, antennas up to {max(cfg.antenna_counts)} "
+            f"and n_taps = {cfg.channel_model.tap_count} size the arrays of a "
+            "run; lower them"
+        ) from None
     _write_output(text, cfg.out_path)
     return _EXIT_OK
+
+
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    return _run_experiment(args, run_sweep, sweep_to_csv)
 
 
 def _cmd_cdf(args: argparse.Namespace) -> int:
-    cfg = _experiment_config(args)
-    text = cdf_to_csv(run_cdf(cfg))
-    _write_output(text, cfg.out_path)
-    return _EXIT_OK
+    return _run_experiment(args, run_cdf, cdf_to_csv)
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
@@ -185,9 +196,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.set_defaults(func=_cmd_fit)
 
     p_range = sub.add_parser("range", help="distance delivering a target power")
-    p_range.add_argument("--target", type=float, required=True)
-    p_range.add_argument("--a", type=float, help="fitted amplitude")
-    p_range.add_argument("--b", type=float, help="fitted exponent")
+    # argparse reads a negative number in exponent form (-2e-05) as a flag,
+    # so such a value must be attached with '='.
+    p_range.add_argument(
+        "--target", type=float, required=True,
+        help="target DC power; attach a negative exponent-form value: --target=-2e-05",
+    )
+    p_range.add_argument(
+        "--a", type=float,
+        help="fitted amplitude; attach a negative exponent-form value: --a=-2e-05",
+    )
+    p_range.add_argument(
+        "--b", type=float,
+        help="fitted exponent; attach a negative exponent-form value: --b=-2e-05",
+    )
     p_range.add_argument("--scheme", default="smf", help="reference curve scheme")
     p_range.add_argument("--tones", type=int, default=1)
     p_range.add_argument("--antennas", type=int, default=1)

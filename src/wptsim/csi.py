@@ -69,14 +69,15 @@ def ls_estimate(
 ) -> np.ndarray:
     """Least-squares channel estimate (received + noise) / pilot, per entry.
 
-    Noise is CN(0, noise_variance).  `noise_seed` is one integer seed, or an
-    array-like of seeds matching the leading axes of `pilot`, each of which
-    draws the trailing block it indexes exactly as
+    Noise is CN(0, noise_variance).  `noise_seed` is one integer seed (the
+    batch of one), or an array-like of seeds matching the leading axes of
+    `pilot`, each of which draws the trailing block it indexes exactly as
     `complex_normal(make_rng(seed), shape)` would; seeds must be integers in
-    [0, 2**64), the range `derive_seed` yields.  The unit draw is taken
-    before scaling, so sweeping the variance with fixed seeds reuses one
-    noise direction.  Unbiased, with per-entry error variance
-    noise_variance / |pilot|^2.
+    [0, 2**64), the range `derive_seed` yields.  The draws come from
+    `unit_normals`, which re-keys the process's one Philox per seed.  The
+    unit draw is taken before scaling, so sweeping the variance with fixed
+    seeds reuses one noise direction.  Unbiased, with per-entry error
+    variance noise_variance / |pilot|^2.
     """
     pilot = np.asarray(pilot, dtype=np.complex128)
     received = np.asarray(received, dtype=np.complex128)

@@ -54,6 +54,9 @@ _NOISE_STREAM = 1
 # Realizations designed and received per batch.
 BLOCK_SIZE = 256
 
+# numpy refuses an array of more bytes than this before allocating anything.
+_MAX_ARRAY_BYTES = np.iinfo(np.intp).max
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -107,6 +110,26 @@ class ExperimentConfig:
                     problems.append(f"distances: {exc}")
         if self.realizations < 1:
             problems.append("realizations: must be >= 1")
+        elif self.realizations * len(set(self.distances)) * 8 > _MAX_ARRAY_BYTES:
+            problems.append(
+                "realizations: one value per realization and distance exceeds "
+                "the largest array numpy can hold"
+            )
+        n_max = max(self.tone_counts, default=1)
+        m_max = max(self.antenna_counts, default=1)
+        block = min(self.realizations, BLOCK_SIZE) * n_max * m_max
+        if block * 16 > _MAX_ARRAY_BYTES:
+            problems.append(
+                "tones/antennas: a block of channels (realizations x tones x "
+                f"antennas, at most {BLOCK_SIZE} realizations) exceeds the "
+                "largest array numpy can hold"
+            )
+        taps = self.channel_model.tap_count
+        if taps * max(n_max, m_max) * 16 > _MAX_ARRAY_BYTES:
+            problems.append(
+                "n_taps: the tap arrays (tones x n_taps, n_taps x antennas) "
+                "exceed the largest array numpy can hold"
+            )
         if self.seed < 0:
             problems.append("seed: must be non-negative")
         for name in ("power_budget", "beta", "f0"):

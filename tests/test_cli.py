@@ -248,6 +248,50 @@ class TestSweepAndCdf:
         assert captured.out == ""
 
 
+class TestOversizedRuns:
+    @pytest.mark.parametrize("command", ["sweep", "cdf"])
+    @pytest.mark.parametrize(
+        "settings, key",
+        [
+            ({"realizations": 2**62}, "realizations"),
+            ({"realizations": 10**30}, "realizations"),
+            ({"tones": 2**62}, "tones/antennas"),
+            ({"realizations": 2, "antennas": 2**61}, "tones/antennas"),
+            ({"n_taps": 2**62}, "n_taps"),
+        ],
+    )
+    def test_beyond_numpy_array_limit_rejected_up_front(
+        self, tmp_path, capsys, command, settings, key
+    ):
+        # numpy refuses arrays this large before allocating, so this
+        # allocates nothing.
+        settings = {"realizations": 1, "tones": 1, "antennas": 1, **settings}
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+        assert cli.main([command, "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: invalid experiment config: {key}:")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["sweep", "cdf"])
+    def test_out_of_memory_names_the_sizing_keys(self, monkeypatch, capsys, command):
+        def exhausted(cfg):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, f"run_{command}", exhausted)
+        argv = [command, "--realizations", str(10**12), "--tones", "1,8",
+                "--antennas", "2"]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "error: out of memory: realizations = 1000000000000, tones up to 8, "
+            "antennas up to 2 and n_taps = 8"
+        )
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+
 # config lines -> what the error line must name; distances = 1,1000 unless set
 _OVERFLOWING_CONFIGS = {
     "path_loss_exponent = 400": "path_loss_exponent",
@@ -337,6 +381,15 @@ class TestFitAndRange:
     def test_range_explicit_coefficients(self, capsys):
         assert cli.main(["range", "--target", "2.0", "--a", "8.0", "--b", "-2.0"]) == 0
         assert float(capsys.readouterr().out.strip()) == pytest.approx(2.0, rel=1e-9)
+
+    def test_range_attached_exponent_form(self, capsys):
+        # argparse reads "-1.5e+00" after a space as a flag; attached with
+        # '=' it is the value.
+        argv = ["range", "--target=2e+00", "--a=8e+00", "--b=-1.5e+00"]
+        assert cli.main(argv) == 0
+        attached = capsys.readouterr().out
+        assert cli.main(["range", "--target", "2", "--a", "8", "--b", "-1.5"]) == 0
+        assert capsys.readouterr().out == attached
 
     def test_range_reference_lookup(self, capsys):
         assert cli.main(

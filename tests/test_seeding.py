@@ -6,11 +6,18 @@ the plain per-seed construction bit for bit.  Every channel model and the
 CSI noise draw through `unit_normals`.
 """
 
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import wptsim
 from wptsim.channel import (
     FREQUENCY_FLAT,
     TAPPED_DELAY,
@@ -95,6 +102,7 @@ class TestPhiloxKeys:
 class TestDeriveSeed:
     @settings(max_examples=60, deadline=None)
     @given(components, st.lists(components, max_size=6))
+    @example(2**64 + 5, [0, 8, 4, 1, 17])
     def test_matches_seed_sequence_of_the_list(self, master, path):
         expected = np.random.SeedSequence([master, *path]).generate_state(1, np.uint64)
         seed = derive_seed(master, *path)
@@ -204,6 +212,43 @@ class TestUnitNormals:
             expected[index] = complex_normal(make_rng(int(batch[index])), shape)
         assert np.array_equal(unit_normals(batch, shape), expected)
         assert np.array_equal(unit_normals(batch.tolist(), shape), expected)
+        if batch.ndim == 0:
+            assert np.array_equal(unit_normals(int(batch), shape), expected)
+
+    def test_threads_get_the_serial_draws(self):
+        # Every draw re-keys one Philox under its lock, so threads
+        # interleaving scalar and block draws get what serial calls get.
+        tasks = [(seed, (3, 2)) for seed in EDGE_SEEDS]
+        tasks += [(EDGE_SEEDS[:k], (k, 2)) for k in range(1, 7)]
+        expected = [unit_normals(*task) for task in tasks]
+        n_threads = 4
+        start = threading.Barrier(n_threads, timeout=60)
+        mismatches, finished = [], []
+
+        def draw(order):
+            start.wait()
+            for _ in range(50):
+                for i in order:
+                    if not np.array_equal(unit_normals(*tasks[i]), expected[i]):
+                        mismatches.append(i)
+            finished.append(order)
+
+        # Each thread draws every task, starting at a different one.
+        indices = list(range(len(tasks)))
+        orders = [indices[3 * k :] + indices[: 3 * k] for k in range(n_threads)]
+        threads = [threading.Thread(target=draw, args=(order,)) for order in orders]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(finished) == n_threads
+        assert mismatches == []
 
 
 class TestOneTapFlat:
@@ -265,3 +310,25 @@ class TestOneSeedContract:
         expected = complex_normal(make_rng(int(seed)), (2,))
         assert np.array_equal(unit_normals(seed, (2,)), expected)
         assert np.array_equal(unit_normals([seed], (2,)), expected[None])
+
+
+def test_import_and_config_leave_numpy_random_unloaded():
+    # The shared Philox is built on the first draw, so loading the package,
+    # parsing and validating a config never import numpy.random.
+    code = (
+        "import sys, wptsim.cli\n"
+        "from wptsim.harness import config_from_mapping\n"
+        "config_from_mapping({'tones': '1,8', 'realizations': '10'}).validate()\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    src = str(Path(wptsim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
