@@ -49,6 +49,7 @@ from .rectifier import (
     RectifierParams,
     moment2,
     moment4,
+    received_signal,
     received_tones,
     scaling_law_ca,
     scaling_law_cw,
@@ -59,7 +60,6 @@ from .signals import (
     PrecoderWeights,
     ToneGrid,
     normalize_power,
-    received_signal,
     synthesize_tx,
     tx_power,
 )

@@ -33,7 +33,7 @@ from .harness import (
     sweep_to_csv,
 )
 from .rectifier import received_tones, z_dc
-from .signals import ToneGrid, save_weights
+from .signals import save_weights
 
 _EXIT_OK = 0
 _EXIT_INVALID = 1
@@ -80,8 +80,7 @@ def _scheme_from_args(args: argparse.Namespace) -> DesignScheme:
 def _design_for_channel(args: argparse.Namespace):
     channel = load_channel(args.channel)
     scheme = _scheme_from_args(args)
-    grid = ToneGrid.for_band(channel.n_tones)
-    return scheme, channel, apply_design(scheme, channel, grid)
+    return scheme, channel, apply_design(scheme, channel)
 
 
 def _cmd_design(args: argparse.Namespace) -> int:

@@ -13,7 +13,7 @@ realization is the batch of one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -158,12 +158,13 @@ def apply_design(
 ) -> PrecoderWeights:
     """Design weights for `scheme` from a channel realization.
 
-    For CW the channel only fixes which sub-carrier is used; pair the
-    returned weights with `effective_channel` when evaluating reception.
+    `grid` defaults to `ToneGrid.for_band(channel.n_tones)`.  CW sends tone 0
+    of it; pair its weights with `effective_channel` when evaluating reception.
     """
+    grid = _resolve_grid(channel, grid)
     if scheme.kind == CW:
-        cw_grid = grid.single_tone() if grid is not None else ToneGrid.for_band(1)
-        return design_cw(scheme.power_budget, cw_grid, channel.h.shape[:-2])
+        grid = replace(grid, n_tones=1)
+        return design_cw(scheme.power_budget, grid, channel.h.shape[:-2])
     if scheme.kind == MRT:
         return design_mrt(channel, scheme.power_budget, grid)
     if scheme.kind == UP:

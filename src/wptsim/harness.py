@@ -41,7 +41,7 @@ from .fitlab import (
     paper_fit,
     range_gain,
 )
-from .rectifier import RectifierParams, received_tones, z_dc
+from .rectifier import RectifierParams, check_comb, received_tones, z_dc
 from .signals import DEFAULT_BAND_LIMIT, DEFAULT_F0, ToneGrid, csv_text
 
 SWEEP_FIELDS = ["scheme", "n_tones", "m_antennas", "distance_m", "zdc_mean", "zdc_std"]
@@ -132,21 +132,15 @@ class ExperimentConfig:
             )
         if self.seed < 0:
             problems.append("seed: must be non-negative")
-        for name in ("power_budget", "beta", "f0"):
+        for name in ("power_budget", "beta", "f0", "band_limit"):
             if not 0 < getattr(self, name) < np.inf:
                 problems.append(f"{name}: must be positive and finite")
-        if not 0 < self.band_limit < np.inf:
-            problems.append("band_limit: must be positive and finite")
-        elif (
-            self.f0 > 0
-            and max(self.tone_counts, default=1) > 1
-            and not self.band_limit < 2 * self.f0
-        ):
-            problems.append(
-                "f0/band_limit: a multi-tone band must be narrower than 2*f0; "
-                "wider combs beat three-tone sums to DC, which the closed-form "
-                "rectifier moments omit"
-            )
+        if 0 < self.f0 < np.inf and 0 < self.band_limit < np.inf:
+            try:
+                for n_tones in sorted({n for n in self.tone_counts if n > 1}):
+                    check_comb(self.grid_for(n_tones))
+            except ValueError as exc:
+                problems.append(str(exc))
         if problems:
             raise ValueError("invalid experiment config: " + "; ".join(problems))
 

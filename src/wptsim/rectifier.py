@@ -6,7 +6,7 @@ fourth-order term proportional to the time-average of y(t)^4.  For a
 multisine on an evenly spaced tone grid narrower than twice its base
 frequency both averages have exact closed forms in the per-tone complex
 amplitudes; `z_dc_time_oracle` recomputes them by brute-force time sampling
-as an independent check.
+as an independent check; `check_comb` states that limit.
 
 Tone amplitudes are array-first: ``a`` has shape ``(..., n_tones)``, and the
 moments and `z_dc` return one value per leading index, or a float for a
@@ -20,7 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization
-from .signals import PrecoderWeights, ToneGrid, per_realization, require_single
+from .signals import (
+    PrecoderWeights,
+    ToneGrid,
+    multisine,
+    per_realization,
+    require_single,
+)
 
 DEFAULT_K2 = 0.0034
 DEFAULT_K4 = 0.3829
@@ -45,9 +51,20 @@ class RectifierParams:
                 raise ValueError(f"{name} must be positive and finite")
 
 
+def check_comb(grid: ToneGrid) -> None:
+    """Reject a comb whose occupied bandwidth, as computed, reaches 2 f0."""
+    occupied = (grid.n_tones - 1) * grid.delta_f
+    if not occupied < 2.0 * grid.f0:
+        raise ValueError(
+            f"f0/band_limit: occupied bandwidth {occupied:g} Hz must stay below "
+            f"2*f0 = {2.0 * grid.f0:g} Hz: wider combs beat three-tone sums to "
+            "DC, which the closed-form rectifier moments omit"
+        )
+
+
 @dataclass(frozen=True)
 class ReceivedTones:
-    """Per-tone complex amplitudes a[..., n] seen at the rectifier input."""
+    """Rectifier-input tone amplitudes a[..., n] on a grid passing `check_comb`."""
 
     a: np.ndarray
     grid: ToneGrid
@@ -62,13 +79,7 @@ class ReceivedTones:
             )
         if not np.all(np.isfinite(a)):
             raise ValueError("a entries must be finite")
-        occupied = (self.grid.n_tones - 1) * self.grid.delta_f
-        if not occupied < 2.0 * self.grid.f0:
-            raise ValueError(
-                f"occupied bandwidth {occupied:g} Hz must stay below 2*f0 = "
-                f"{2.0 * self.grid.f0:g} Hz (f0/band_limit): wider combs beat "
-                "three-tone sums to DC, which the closed-form moments omit"
-            )
+        check_comb(self.grid)
         a.flags.writeable = False
         object.__setattr__(self, "a", a)
 
@@ -77,17 +88,28 @@ class ReceivedTones:
         return self.a.shape[-1]
 
 
-def received_tones(
-    weights: PrecoderWeights, channel: ChannelRealization
-) -> ReceivedTones:
-    """Combine weights and channel: a_n = path_loss^{-1/2} sum_m h[n,m] w[n,m]."""
+def _tone_sum(weights: PrecoderWeights, channel: ChannelRealization) -> np.ndarray:
+    """a[..., n] = path_loss^{-1/2} sum_m h[..., n, m] w[..., n, m]."""
     if channel.h.shape != weights.w.shape:
         raise ValueError(
             f"channel dimensions {channel.h.shape} do not match weight "
             f"dimensions {weights.w.shape}"
         )
-    a = (channel.h * weights.w).sum(axis=-1) / np.sqrt(channel.path_loss)
-    return ReceivedTones(a=a, grid=weights.grid)
+    return (channel.h * weights.w).sum(axis=-1) / np.sqrt(channel.path_loss)
+
+
+def received_tones(
+    weights: PrecoderWeights, channel: ChannelRealization
+) -> ReceivedTones:
+    """Combine weights and channel: a_n = path_loss^{-1/2} sum_m h[n,m] w[n,m]."""
+    return ReceivedTones(a=_tone_sum(weights, channel), grid=weights.grid)
+
+
+def received_signal(weights: PrecoderWeights, channel: ChannelRealization, t):
+    """y(t) = Re sum_n a_n exp(j 2 pi f_n t) at time(s) t, with the a_n of
+    `received_tones` for one realization on any comb; scalar t gives a float."""
+    require_single(weights.w)
+    return per_realization(multisine(weights.grid, _tone_sum(weights, channel), t))
 
 
 def moment2(tones: ReceivedTones):

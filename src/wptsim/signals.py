@@ -1,9 +1,9 @@
 """Multisine MISO transmit signals: tone grids, precoder weights, synthesis.
 
 Everything downstream works on per-tone complex amplitudes.  Real passband
-waveforms are only materialized through `synthesize_tx` / `received_signal`,
-mainly so that time-domain averages can cross-check the analytic power and
-rectifier expressions.
+waveforms are only materialized through `multisine` (by `synthesize_tx` and
+`rectifier.received_signal`), mainly so that time-domain averages can
+cross-check the analytic power and rectifier expressions.
 
 Weight matrices are array-first: ``w`` has shape ``(..., n_tones,
 m_antennas)``, and any leading axes index independent realizations.  A 2-D
@@ -22,12 +22,8 @@ import json
 import math
 import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .channel import ChannelRealization
 
 DEFAULT_F0 = 2.4e9
 DEFAULT_BAND_LIMIT = 10e6
@@ -38,8 +34,9 @@ class ToneGrid:
     """Evenly spaced tone comb: tone n sits at ``f0 + n * delta_f`` Hz.
 
     `f0` and `delta_f` are positive and finite.  The occupied bandwidth
-    ``(n_tones - 1) * delta_f`` may not exceed `band_limit`, which is
-    positive and may be inf.
+    ``(n_tones - 1) * delta_f``, as computed, may not exceed `band_limit`,
+    which is positive and may be inf; the closed-form rectifier also
+    requires `rectifier.check_comb`.
     """
 
     f0: float
@@ -74,13 +71,12 @@ class ToneGrid:
         f0: float = DEFAULT_F0,
         band_limit: float = DEFAULT_BAND_LIMIT,
     ) -> "ToneGrid":
-        """Grid whose tones evenly fill the available band."""
+        """Grid whose tones evenly fill the band; the spacing steps down one ulp
+        where the occupied bandwidth would round above `band_limit`."""
         delta_f = band_limit / (n_tones - 1) if n_tones > 1 else band_limit
+        if (n_tones - 1) * delta_f > band_limit:
+            delta_f = math.nextafter(delta_f, 0.0)
         return cls(f0=f0, delta_f=delta_f, n_tones=n_tones, band_limit=band_limit)
-
-    def single_tone(self) -> "ToneGrid":
-        """One-tone grid sharing this grid's base frequency and spacing."""
-        return ToneGrid(self.f0, self.delta_f, 1, self.band_limit)
 
 
 def per_realization(values):
@@ -136,13 +132,15 @@ class PrecoderWeights:
         return self.w.shape[-1]
 
 
-def _as_time_axis(t) -> tuple[np.ndarray, bool]:
-    """Coerce t to a 1-D float array; report whether the input was scalar."""
+def multisine(grid: ToneGrid, amplitudes: np.ndarray, t) -> np.ndarray:
+    """Re sum_n amplitudes[n] exp(j 2 pi f_n t): a leading axis of len(t)
+    followed by the trailing axes of `amplitudes`; a scalar t has no time axis."""
     t_arr = np.asarray(t, dtype=np.float64)
     if not np.all(np.isfinite(t_arr)):
         raise ValueError("t must be finite")
-    scalar = t_arr.ndim == 0
-    return np.atleast_1d(t_arr), scalar
+    phases = np.exp(2j * np.pi * np.outer(t_arr, grid.frequencies))
+    x = (phases @ amplitudes).real
+    return x[0] if t_arr.ndim == 0 else x
 
 
 def synthesize_tx(weights: PrecoderWeights, t):
@@ -152,10 +150,7 @@ def synthesize_tx(weights: PrecoderWeights, t):
     (m_antennas,); a 1-D array of times returns (len(t), m_antennas).
     """
     require_single(weights.w)
-    t_arr, scalar = _as_time_axis(t)
-    phases = np.exp(2j * np.pi * np.outer(t_arr, weights.grid.frequencies))
-    x = (phases @ weights.w).real
-    return x[0] if scalar else x
+    return multisine(weights.grid, weights.w, t)
 
 
 def tx_power(weights: PrecoderWeights):
@@ -172,25 +167,6 @@ def normalize_power(weights: PrecoderWeights, p: float) -> PrecoderWeights:
         raise ValueError("cannot normalize an all-zero weight matrix")
     scale = np.sqrt(p / current)[..., None, None]
     return PrecoderWeights(weights.w * scale, weights.grid)
-
-
-def received_signal(weights: PrecoderWeights, channel: "ChannelRealization", t):
-    """Real received signal through a channel realization at time(s) t.
-
-    y(t) = Re sum_n path_loss^{-1/2} (h_n . w_n) exp(j 2 pi f_n t), where
-    h_n . w_n sums over antennas.  Scalar t returns a float.
-    """
-    require_single(weights.w)
-    if channel.h.shape != weights.w.shape:
-        raise ValueError(
-            f"channel dimensions {channel.h.shape} do not match weight "
-            f"dimensions {weights.w.shape}"
-        )
-    amps = np.sum(channel.h * weights.w, axis=1) / math.sqrt(channel.path_loss)
-    t_arr, scalar = _as_time_axis(t)
-    phases = np.exp(2j * np.pi * np.outer(t_arr, weights.grid.frequencies))
-    y = (phases @ amps).real
-    return float(y[0]) if scalar else y
 
 
 def read_field(record, key: str, kind: type = float, default=None):

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from wptsim.channel import ChannelRealization
+from wptsim.rectifier import received_signal
 from wptsim.signals import (
     PrecoderWeights,
     ToneGrid,
     load_weights,
     normalize_power,
-    received_signal,
     save_weights,
     synthesize_tx,
     tx_power,
