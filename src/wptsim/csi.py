@@ -42,8 +42,13 @@ class CsiConfig:
     account_acquisition_time: bool = False
 
     def __post_init__(self) -> None:
-        if not 0 < self.pilot_amplitude < np.inf:
-            raise ValueError("pilot_amplitude must be positive and finite")
+        # numpy divides by a complex pilot through its reciprocal, which a
+        # subnormal pilot overflows.
+        if not np.finfo(float).tiny <= self.pilot_amplitude < np.inf:
+            raise ValueError(
+                f"pilot_amplitude must be at least {np.finfo(float).tiny:g} "
+                "and finite"
+            )
         if not 0 <= self.noise_variance < np.inf:
             raise ValueError("noise_variance must be >= 0 and finite")
         if self.quant_bits_per_component is not None and (
@@ -77,7 +82,8 @@ def ls_estimate(
     `unit_normals`, which re-keys the process's one Philox per seed.  The
     unit draw is taken before scaling, so sweeping the variance with fixed
     seeds reuses one noise direction.  Unbiased, with per-entry error
-    variance noise_variance / |pilot|^2.
+    variance noise_variance / |pilot|^2.  An estimate that overflows raises
+    ValueError naming noise_variance and pilot_amplitude.
     """
     pilot = np.asarray(pilot, dtype=np.complex128)
     received = np.asarray(received, dtype=np.complex128)
@@ -92,7 +98,14 @@ def ls_estimate(
             f"axes of the pilot shape {pilot.shape}"
         )
     unit = unit_normals(seeds, pilot.shape[seeds.ndim :])
-    return (received + np.sqrt(cfg.noise_variance) * unit) / pilot
+    with np.errstate(over="ignore", invalid="ignore"):
+        estimate = (received + np.sqrt(cfg.noise_variance) * unit) / pilot
+    if not np.isfinite(estimate).all():
+        raise ValueError(
+            "the CSI estimate overflows: it grows with noise_variance and "
+            "falls with pilot_amplitude"
+        )
+    return estimate
 
 
 def quantize_csi(h: np.ndarray, bits_per_component: int) -> np.ndarray:

@@ -139,8 +139,11 @@ class ExperimentConfig:
             try:
                 for n_tones in sorted({n for n in self.tone_counts if n > 1}):
                     check_comb(self.grid_for(n_tones))
-            except ValueError as exc:
-                problems.append(str(exc))
+            except ValueError as exc:  # only check_comb names f0/band_limit
+                message = str(exc)
+                if "f0/band_limit" not in message:
+                    message = f"band_limit: {message}"
+                problems.append(message)
         if problems:
             raise ValueError("invalid experiment config: " + "; ".join(problems))
 

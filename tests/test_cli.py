@@ -12,13 +12,15 @@ from wptsim import cli
 from wptsim.channel import (
     CHANNEL_FIELDS,
     ChannelModel,
+    load_channel,
     sample_channel,
     save_channel,
     save_channel_csv,
 )
+from wptsim.design import DesignScheme, apply_design
 from wptsim.fitlab import MEASUREMENT_FIELDS, MeasurementRecord, write_measurements_csv
 from wptsim.harness import CDF_FIELDS, CONFIG_KEYS, SWEEP_FIELDS
-from wptsim.signals import ToneGrid, load_weights
+from wptsim.signals import ToneGrid, load_weights, save_weights
 
 
 @pytest.fixture
@@ -52,6 +54,20 @@ class TestDesignAndZdc:
         weights = load_weights(str(out))
         assert weights.w.shape == (1, 4)
         assert np.sum(np.abs(weights.w) ** 2) / 2 == pytest.approx(0.5, rel=1e-9)
+
+    def test_library_cw_weights_match_the_cli(self, tmp_path):
+        # Without a grid, apply_design resolves the channel's grid as the CLI
+        # does, and CW sends tone 0 of it.
+        ch = sample_channel(ChannelModel(), ToneGrid.for_band(8), 2, seed=21)
+        channel_path, cli_out, lib_out = (
+            str(tmp_path / name) for name in ("ch.json", "cli.json", "lib.json")
+        )
+        save_channel(ch, channel_path)
+        argv = ["design", "--channel", channel_path, "--scheme", "cw", "--out", cli_out]
+        assert cli.main(argv) == 0
+        weights = apply_design(DesignScheme("cw"), load_channel(channel_path))
+        save_weights(weights, lib_out)
+        assert Path(lib_out).read_bytes() == Path(cli_out).read_bytes()
 
     def test_design_requires_out(self, channel_json, capsys):
         code = cli.main(["design", "--channel", channel_json, "--scheme", "mrt"])
@@ -302,6 +318,47 @@ _OVERFLOWING_CONFIGS = {
 }
 
 
+class TestCombEdges:
+    """Tone grids that `ToneGrid.for_band` builds run; combs reaching 2*f0
+    are rejected before any realization."""
+
+    @pytest.mark.parametrize(
+        "lines, tones",
+        [
+            ("band_limit = 1e6\ntones = 1,8\n", {"1", "8"}),
+            (
+                "f0 = 915e6\nband_limit = 1829999999.9999998\ntones = 1,24\n",
+                {"1", "24"},
+            ),
+            ("f0 = 1e6\nband_limit = 2e6\ntones = 1,8\n", {"1", "8"}),
+        ],
+        ids=["1MHz-band-8-tones", "915MHz-edge-24-tones", "exact-2f0-edge-8-tones"],
+    )
+    def test_config_runs(self, tmp_path, capsys, lines, tones):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("realizations = 1\n" + lines)
+        assert cli.main(["sweep", "--config", str(cfg)]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert {row.split(",")[1] for row in rows} == tones
+
+    def test_many_tones_on_the_default_band_run(self, capsys):
+        argv = ["sweep", "--tones", "596,600", "--scheme", "up", "--antennas", "1",
+                "--realizations", "1"]
+        assert cli.main(argv) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert {row.split(",")[1] for row in rows} == {"596", "600"}
+
+    def test_two_tones_at_the_exact_edge_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("realizations = 1\nf0 = 1e6\nband_limit = 2e6\ntones = 1,2\n")
+        assert cli.main(["sweep", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "error: invalid experiment config: f0/band_limit:"
+        )
+        assert captured.out == ""
+
+
 class TestOverflowingSettings:
     @pytest.mark.parametrize("line", sorted(_OVERFLOWING_CONFIGS))
     def test_rejected_with_one_error_line(self, tmp_path, capsys, line):
@@ -312,6 +369,26 @@ class TestOverflowingSettings:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
         assert _OVERFLOWING_CONFIGS[line] in captured.err
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "lines, key",
+        [
+            ("pilot_amplitude = 1e-320\n", "pilot_amplitude"),
+            ("pilot_amplitude = 1e-300\nnoise_variance = 1e20\n", "noise_variance"),
+        ],
+        ids=["subnormal-pilot", "overflowing-estimate"],
+    )
+    def test_csi_estimate_overflow_is_one_error_line(
+        self, tmp_path, capsys, lines, key
+    ):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("realizations = 2\ncsi_enabled = true\n" + lines)
+        assert cli.main(["sweep", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert key in captured.err and "pilot_amplitude" in captured.err
         assert captured.err.count("\n") == 1
         assert captured.out == ""
 

@@ -47,6 +47,16 @@ class TestConfig:
         with pytest.raises(ValueError, match=name):
             CsiConfig(**{name: value})
 
+    @pytest.mark.parametrize(
+        "pilot", [1e-320, 5e-324, np.nextafter(np.finfo(float).tiny, 0)]
+    )
+    def test_rejects_subnormal_pilot(self, pilot):
+        # numpy divides by a complex pilot through its reciprocal, which
+        # overflows for a subnormal pilot.
+        with pytest.raises(ValueError, match="pilot_amplitude"):
+            CsiConfig(pilot_amplitude=pilot)
+        CsiConfig(pilot_amplitude=np.finfo(float).tiny)
+
     def test_default_duty_factor(self):
         assert CsiConfig().duty_factor == pytest.approx(0.92, rel=1e-12)
 
@@ -87,6 +97,12 @@ class TestLsEstimate:
     def test_zero_pilot_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):
             ls_estimate(np.zeros((1, 1)), np.zeros((1, 1)), 0, CsiConfig())
+
+    def test_overflowing_estimate_names_its_settings(self):
+        cfg = CsiConfig(pilot_amplitude=1e-300, noise_variance=1e20)
+        pilot = np.full((2, 2), cfg.pilot_amplitude, dtype=np.complex128)
+        with pytest.raises(ValueError, match="noise_variance.*pilot_amplitude"):
+            ls_estimate(pilot, pilot, 0, cfg)
 
 
 class TestQuantizer:

@@ -1,12 +1,15 @@
 """Experiment driver: reproducibility, stream independence, claim checks,
 and the config-file front end."""
 
+import math
 import re
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wptsim.channel import ChannelModel
 from wptsim.csi import CsiConfig
@@ -26,6 +29,7 @@ from wptsim.harness import (
     run_sweep,
     sweep_to_csv,
 )
+from wptsim.rectifier import ReceivedTones
 
 # Small but non-degenerate: every structural property below is independent
 # of ensemble size.
@@ -74,6 +78,43 @@ class TestConfigValidation:
             cfg.validate()
         # A single tone occupies no bandwidth, so any band limit is fine.
         replace(cfg, tone_counts=(1,)).validate()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        f0=st.floats(3.0, 10.0).map(lambda e: 10.0**e),
+        ulps=st.integers(-4, 4),
+        tones=st.lists(st.integers(1, 64), min_size=1, max_size=3),
+    )
+    @example(f0=915e6, ulps=-1, tones=[1, 24])
+    @example(f0=1e6, ulps=0, tones=[1, 8])
+    @example(f0=1e6, ulps=0, tones=[2])
+    def test_validate_accepts_exactly_the_grids_the_rectifier_accepts(
+        self, f0, ulps, tones
+    ):
+        # The band limit sits within a few ulps of 2*f0.
+        band = 2.0 * f0
+        for _ in range(abs(ulps)):
+            band = math.nextafter(band, math.inf if ulps > 0 else 0.0)
+        cfg = ExperimentConfig(f0=f0, band_limit=band, tone_counts=tuple(tones))
+
+        def rectifier_accepts(n):
+            try:
+                ReceivedTones(np.zeros(n), cfg.grid_for(n))
+            except ValueError:
+                return False
+            return True
+
+        expected = all(rectifier_accepts(n) for n in tones)
+        if expected:
+            cfg.validate()
+        else:
+            with pytest.raises(ValueError, match="f0/band_limit"):
+                cfg.validate()
+
+    def test_band_too_narrow_for_a_positive_spacing_named(self):
+        cfg = ExperimentConfig(band_limit=5e-324, tone_counts=(1, 8))
+        with pytest.raises(ValueError, match="band_limit: delta_f must be positive"):
+            cfg.validate()
 
     def test_grid_uses_band_limit(self):
         grid = ExperimentConfig().grid_for(8)

@@ -1,10 +1,13 @@
 """Tone grids, precoder weights, and waveform synthesis."""
 
 import json
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wptsim.channel import ChannelRealization
 from wptsim.rectifier import received_signal
@@ -65,6 +68,23 @@ class TestToneGrid:
         if n > 1:
             span = grid.frequencies[-1] - grid.frequencies[0]
             np.testing.assert_allclose(span, 10e6, rtol=1e-12)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        n=st.integers(1, 4096),
+        f0=st.floats(3.0, 10.0).map(lambda e: 10.0**e),
+        band=st.floats(-3.0, 12.0).map(lambda e: 10.0**e),
+    )
+    @example(n=8, f0=2.4e9, band=1e6)
+    @example(n=596, f0=2.4e9, band=10e6)
+    @example(n=600, f0=2.4e9, band=10e6)
+    @example(n=24, f0=915e6, band=1829999999.9999998)
+    def test_for_band_grid_passes_its_own_band_check(self, n, f0, band):
+        grid = ToneGrid.for_band(n, f0, band)
+        assert (n - 1) * grid.delta_f <= band
+        if n > 1:
+            # At most one ulp below the even split of the band.
+            assert math.nextafter(band / (n - 1), 0.0) <= grid.delta_f <= band / (n - 1)
 
 
 class TestPrecoderWeights:
