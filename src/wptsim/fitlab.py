@@ -19,6 +19,9 @@ from .signals import csv_text, read_csv_entries, read_field
 
 MEASUREMENT_FIELDS = ["scheme", "n_tones", "m_antennas", "distance_m", "p_dc"]
 
+# Significant digits of every float in a rendered fit report.
+REPORT_SIG_DIGITS = 9
+
 
 @dataclass(frozen=True)
 class PowerLawFit:
@@ -210,12 +213,12 @@ def fit_report(records: list[MeasurementRecord]) -> dict:
     return {"fits": fits}
 
 
-def format_fit_report(report: dict, sig_digits: int = 9) -> str:
-    """Render a fit report as JSON text with rounded floats."""
+def format_fit_report(report: dict) -> str:
+    """Render a fit report as JSON text, floats rounded to `REPORT_SIG_DIGITS`."""
 
     def tidy(value):
         if isinstance(value, float):
-            return float(format(value, f".{sig_digits}g"))
+            return float(format(value, f".{REPORT_SIG_DIGITS}g"))
         return value
 
     shaped = {
