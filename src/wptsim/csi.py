@@ -102,8 +102,8 @@ def ls_estimate(
         estimate = (received + np.sqrt(cfg.noise_variance) * unit) / pilot
     if not np.isfinite(estimate).all():
         raise ValueError(
-            "the CSI estimate overflows: it grows with noise_variance and "
-            "falls with pilot_amplitude"
+            "the CSI estimate overflows: sqrt(noise_variance) / pilot_amplitude "
+            "or the received pilot (pilot_amplitude times the channel) is too large"
         )
     return estimate
 
@@ -156,7 +156,9 @@ def csi_loop_zdc(
     pilot = np.full(
         true_channel.h.shape, cfg.pilot_amplitude, dtype=np.complex128
     )
-    estimate = ls_estimate(pilot, pilot * true_channel.h, seed, cfg)
+    with np.errstate(over="ignore"):  # ls_estimate names an overflow
+        received = pilot * true_channel.h
+    estimate = ls_estimate(pilot, received, seed, cfg)
     if cfg.quant_bits_per_component is not None:
         estimate = quantize_csi(estimate, cfg.quant_bits_per_component)
     believed = ChannelRealization(

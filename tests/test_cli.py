@@ -377,14 +377,17 @@ class TestOverflowingSettings:
         [
             ("pilot_amplitude = 1e-320\n", "pilot_amplitude"),
             ("pilot_amplitude = 1e-300\nnoise_variance = 1e20\n", "noise_variance"),
+            ("pilot_amplitude = 1e308\n", "noise_variance"),
         ],
-        ids=["subnormal-pilot", "overflowing-estimate"],
+        ids=["subnormal-pilot", "overflowing-estimate", "overflowing-received-pilot"],
     )
     def test_csi_estimate_overflow_is_one_error_line(
         self, tmp_path, capsys, lines, key
     ):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("realizations = 2\ncsi_enabled = true\n" + lines)
+        # 50 realizations draw channel entries large enough to overflow a
+        # 1e308 pilot.
+        cfg.write_text("realizations = 50\ncsi_enabled = true\n" + lines)
         assert cli.main(["sweep", "--config", str(cfg)]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
