@@ -136,8 +136,11 @@ class ExperimentConfig:
             if not 0 < getattr(self, name) < np.inf:
                 problems.append(f"{name}: must be positive and finite")
         if 0 < self.f0 < np.inf and 0 < self.band_limit < np.inf:
+            # A count beyond the array limit fails the block check above and
+            # may not even convert to a float.
+            multi = {n for n in self.tone_counts if 1 < n <= _MAX_ARRAY_BYTES}
             try:
-                for n_tones in sorted({n for n in self.tone_counts if n > 1}):
+                for n_tones in sorted(multi):
                     check_comb(self.grid_for(n_tones))
             except ValueError as exc:  # only check_comb names f0/band_limit
                 message = str(exc)

@@ -116,6 +116,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="band_limit: delta_f must be positive"):
             cfg.validate()
 
+    def test_tone_count_beyond_float_range_rejected_by_size(self):
+        cfg = ExperimentConfig(tone_counts=(1, 10**400))
+        with pytest.raises(ValueError, match="tones/antennas") as info:
+            cfg.validate()
+        assert "band_limit" not in str(info.value)
+
     def test_grid_uses_band_limit(self):
         grid = ExperimentConfig().grid_for(8)
         assert grid.n_tones == 8
