@@ -3,13 +3,16 @@
 Subcommands mirror the library workflows: design weights for a stored
 channel, evaluate one DC output, run sweeps and CDFs, fit measurement
 files, invert fitted curves into ranges, and check the reference claims.
-Exit codes: 0 on success, 1 on validation errors, 2 when a reference claim
-check fails.
+Exit codes: 0 on success (and for ``--help``), 1 on usage and validation
+errors, 2 when a reference claim check fails.  `main` returns the exit code
+and never raises SystemExit, so it may be called repeatedly in one process;
+it builds its argument parser once, on the first call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .channel import load_channel
@@ -149,7 +152,17 @@ def _cmd_paper_check(args: argparse.Namespace) -> int:
     return _EXIT_OK if report.all_passed else _EXIT_CLAIMS_FAILED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `wptsim` parser, built on the first call and shared after it;
+    callers parse with it and must not add to it.
+
+    Sharing is safe: each parse makes a fresh Namespace, no argument has a
+    mutable default, and `set_defaults(func=_cmd_*)` binds the command
+    functions once, which look up the library functions they call (for
+    example `run_sweep` or `paper_check`) at call time, so patching those
+    names still takes effect.
+    """
     parser = argparse.ArgumentParser(
         prog="wptsim",
         description="Multisine wireless power transfer simulator and analysis tool",
@@ -222,8 +235,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the help (status 0) or the usage and its
+        # error line (status 2, which is reserved for failed claims here).
+        return _EXIT_OK if exc.code == 0 else _EXIT_INVALID
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization, seed_array, unit_normals
-from .design import DesignScheme, apply_design, effective_channel
+from .design import ChannelScaleError, DesignScheme, apply_design, effective_channel
 from .rectifier import RectifierParams, received_tones, z_dc
 from .signals import ToneGrid
 
@@ -150,8 +150,10 @@ def csi_loop_zdc(
     the design is computed from the noisy, quantized LS estimate and then
     evaluated through the true channel.  For a batched `true_channel`,
     `seed` holds one noise seed per realization and the result is an array
-    of per-realization outputs.  Degenerate estimates (for example quantized
-    to all zeros) raise just as they would in the design itself.
+    of per-realization outputs.  Degenerate estimates (for example all
+    zeros) raise just as they would in the design itself; an estimate whose
+    scale the design cannot normalise raises ValueError naming
+    noise_variance and pilot_amplitude.
     """
     pilot = np.full(
         true_channel.h.shape, cfg.pilot_amplitude, dtype=np.complex128
@@ -166,7 +168,14 @@ def csi_loop_zdc(
         path_loss=true_channel.path_loss,
         distance=true_channel.distance,
     )
-    weights = apply_design(scheme, believed, grid)
+    try:
+        weights = apply_design(scheme, believed, grid)
+    except ChannelScaleError as exc:
+        raise ValueError(
+            f"{exc}; the CSI estimate is the channel plus noise of standard "
+            f"deviation sqrt(noise_variance) / pilot_amplitude (noise_variance "
+            f"= {cfg.noise_variance:g}, pilot_amplitude = {cfg.pilot_amplitude:g})"
+        ) from None
     tones = received_tones(weights, effective_channel(scheme, true_channel))
     z = z_dc(tones, params)
     if cfg.account_acquisition_time:

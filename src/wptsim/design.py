@@ -7,7 +7,8 @@ across tones and antennas.  Every design radiates exactly its power budget.
 
 Designs work on the last two axes of the channel array, so a batch of
 realizations (leading axes of ``h``) is designed in one call and a single
-realization is the batch of one.
+realization is the batch of one.  A channel too large or too small for the
+norm arithmetic raises ChannelScaleError, never zero or non-finite weights.
 """
 
 from __future__ import annotations
@@ -56,6 +57,38 @@ def _resolve_grid(channel: ChannelRealization, grid: ToneGrid | None) -> ToneGri
     return grid
 
 
+class ChannelScaleError(ValueError):
+    """A channel too large or too small in scale for a design's arithmetic."""
+
+
+def _check_weights(
+    norms: np.ndarray, scale: np.ndarray, w: np.ndarray, h: np.ndarray, action: str
+) -> None:
+    """Raise unless weights `w`, normalised by `scale` from the `norms` of h
+    over its last axis, radiate the power budget: a realization whose
+    entries are all zero raises ValueError; a norm that overflows, a norm
+    that underflows to 0 on nonzero entries, or a scale that is not positive
+    and finite (zero or non-finite weights) raises ChannelScaleError."""
+    zero = norms == 0.0
+    underflow = zero.any() and h[zero].any()
+    if zero.all(axis=-1).any() and not underflow:
+        raise ValueError(f"cannot {action} on an all-zero channel")
+    if not np.isfinite(norms).all():
+        problem = "the channel norm overflows"
+    elif underflow:
+        problem = "the norm of a nonzero channel underflows to 0"
+    elif not ((scale > 0.0).all() and np.isfinite(w).all()):
+        problem = (
+            "the power normalisation is not positive and finite for this power budget"
+        )
+    else:
+        return
+    raise ChannelScaleError(
+        f"cannot {action}: {problem} (largest channel entry magnitude "
+        f"{np.abs(h).max():.3g})"
+    )
+
+
 def design_cw(
     p: float, grid: ToneGrid | None = None, batch_shape: tuple[int, ...] = ()
 ) -> PrecoderWeights:
@@ -76,18 +109,24 @@ def design_cw(
 def design_mrt(
     channel: ChannelRealization, p: float, grid: ToneGrid | None = None
 ) -> PrecoderWeights:
-    """Single-tone conjugate beamformer: w = sqrt(2 p) conj(h) / ||h||."""
+    """Single-tone conjugate beamformer: w = sqrt(2 p) conj(h) / ||h||.
+
+    A norm that overflows, or that underflows to 0 on a nonzero channel, and
+    a normalisation sqrt(2 p) / ||h|| that is not positive and finite raise
+    ChannelScaleError; an all-zero channel raises ValueError.
+    """
     if not p > 0:
         raise ValueError("p must be positive")
     if channel.n_tones != 1:
         raise ValueError("MRT is a single-tone design; channel must have n_tones = 1")
-    h = channel.h[..., 0, :]
+    h = channel.h
     # One 1-D norm per realization: batched norms round differently.
     rows = h.reshape(-1, channel.m_antennas)
-    norms = np.array([np.linalg.norm(row) for row in rows]).reshape(h.shape[:-1])
-    if np.any(norms == 0.0):
-        raise ValueError("cannot beamform on an all-zero channel")
-    w = (math.sqrt(2.0 * p) / norms)[..., None, None] * np.conj(h)[..., None, :]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        norms = np.array([np.linalg.norm(row) for row in rows]).reshape(h.shape[:-1])
+        scale = math.sqrt(2.0 * p) / norms
+        w = scale[..., None] * np.conj(h)
+    _check_weights(norms, scale, w, h, "beamform")
     return PrecoderWeights(w, _resolve_grid(channel, grid))
 
 
@@ -118,19 +157,25 @@ def design_smf(
     power scales as ||h_n||^(2 beta): beta > 1 concentrates power on strong
     tones, beta = 1 is the plain matched filter, and for a single tone the
     result reduces exactly to MRT for any beta.
+
+    A tone norm that overflows, or underflows to 0 on nonzero entries, and a
+    normalisation sqrt(2 p / sum_n ||h_n||^(2 beta)) that is not positive
+    and finite raise ChannelScaleError; a realization whose tones are all
+    zero raises ValueError.
     """
     if not p > 0:
         raise ValueError("p must be positive")
     if not beta > 0:
         raise ValueError("beta must be positive")
-    norms = np.linalg.norm(channel.h, axis=-1)
-    alive = norms > 0
-    if not np.all(np.any(alive, axis=-1)):
-        raise ValueError("cannot design on an all-zero channel")
-    shape = np.zeros_like(channel.h)
-    shape[alive] = norms[alive][:, None] ** (beta - 1.0) * np.conj(channel.h[alive])
-    scale = np.sqrt(2.0 * p / np.sum(norms ** (2.0 * beta), axis=-1))
-    return PrecoderWeights(scale[..., None, None] * shape, _resolve_grid(channel, grid))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        norms = np.linalg.norm(channel.h, axis=-1)
+        alive = norms > 0
+        shape = np.zeros_like(channel.h)
+        shape[alive] = norms[alive][:, None] ** (beta - 1.0) * np.conj(channel.h[alive])
+        scale = np.sqrt(2.0 * p / np.sum(norms ** (2.0 * beta), axis=-1))
+        w = scale[..., None, None] * shape
+    _check_weights(norms, scale, w, channel.h, "design")
+    return PrecoderWeights(w, _resolve_grid(channel, grid))
 
 
 def effective_channel(

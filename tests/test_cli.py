@@ -1,8 +1,12 @@
 """End-to-end command-line runs through `main`, using real files on disk."""
 
+import argparse
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +16,7 @@ from wptsim import cli
 from wptsim.channel import (
     CHANNEL_FIELDS,
     ChannelModel,
+    ChannelRealization,
     load_channel,
     sample_channel,
     save_channel,
@@ -21,6 +26,29 @@ from wptsim.design import DesignScheme, apply_design
 from wptsim.fitlab import MEASUREMENT_FIELDS, MeasurementRecord, write_measurements_csv
 from wptsim.harness import CDF_FIELDS, CONFIG_KEYS, SWEEP_FIELDS
 from wptsim.signals import ToneGrid, load_weights, save_weights
+
+
+SRC_DIR = str(Path(cli.__file__).resolve().parents[1])
+
+
+def _python(*args, cwd=None):
+    """Run `python -W error <args>` in a fresh interpreter that imports
+    wptsim from this checkout; returns (exit code, stdout, stderr)."""
+    path = os.pathsep.join(filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", *args],
+        capture_output=True,
+        text=True,
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _wptsim(*argv, cwd=None):
+    """`wptsim <argv>` in a fresh interpreter."""
+    return _python("-m", "wptsim.cli", *argv, cwd=cwd)
 
 
 @pytest.fixture
@@ -412,6 +440,42 @@ class TestOverflowingSettings:
         assert captured.out == ""
 
 
+class TestChannelScale:
+    """Stored channels whose norms overflow or underflow, and CSI estimates
+    the design cannot normalise: one `error:` line, exit 1, no warning."""
+
+    @pytest.mark.parametrize(
+        "n, m, scale, scheme, message",
+        [
+            (8, 2, 1e60, "smf", "the power normalisation is not positive and finite"),
+            (1, 4, 1e160, "mrt", "the channel norm overflows"),
+            (1, 4, 1e160, "smf", "the channel norm overflows"),
+            (1, 4, 1e-170, "mrt", "the norm of a nonzero channel underflows to 0"),
+            (1, 4, 1e-170, "smf", "the norm of a nonzero channel underflows to 0"),
+        ],
+        ids=["smf-1e60", "mrt-1e160", "smf-1e160", "mrt-1e-170", "smf-1e-170"],
+    )
+    def test_design_and_zdc_exit_one(self, tmp_path, n, m, scale, scheme, message):
+        ch = sample_channel(ChannelModel(), ToneGrid.for_band(n), m, seed=5)
+        path = str(tmp_path / "ch.json")
+        save_channel(ChannelRealization(ch.h * scale, ch.path_loss, ch.distance), path)
+        weights = tmp_path / "w.json"
+        for argv in (["design", "--out", str(weights)], ["zdc"]):
+            code, out, err = _wptsim(*argv, "--channel", path, "--scheme", scheme)
+            assert (code, out) == (1, "")
+            assert err.startswith("error: cannot ") and err.count("\n") == 1
+            assert message in err
+        assert not weights.exists()
+
+    def test_csi_estimate_beyond_the_design_names_noise_variance(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("realizations = 4\ncsi_enabled = true\nnoise_variance = 1e300\n")
+        code, out, err = _wptsim("sweep", "--config", str(cfg), "--scheme", "smf")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: cannot design: ") and err.count("\n") == 1
+        assert "noise_variance = 1e+300" in err and "pilot_amplitude" in err
+
+
 FLOAT_KEYS = [
     "power_budget", "beta", "f0", "band_limit",
     "delay_spread", "pdp_decay", "path_loss_ref", "path_loss_exponent",
@@ -558,6 +622,98 @@ class TestPaperCheck:
         monkeypatch.setattr(cli, "paper_check", broken)
         assert cli.main(["paper-check"]) == 2
         assert "FAIL" in capsys.readouterr().out
+
+
+class TestUsageErrors:
+    """argparse's usage errors exit 1 like any invalid input; 2 is kept for
+    failed claims, and `main` returns the code instead of raising."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["paper-check", "--bogus"], ["range", "--a", "8", "--b=-1.5"], ["bogus"], []],
+        ids=["unknown-flag", "missing-target", "unknown-command", "no-command"],
+    )
+    def test_exit_one_after_the_usage_and_error_lines(self, capsys, argv):
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert lines[0].startswith("usage: wptsim")
+        assert re.match(r"wptsim( [a-z-]+)?: error: ", lines[-1])
+
+    @pytest.mark.parametrize("argv", [["--help"], ["range", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        assert cli.main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: wptsim")
+        assert captured.err == ""
+
+
+_SMALL_SWEEP = ["--scheme", "smf,up", "--tones", "1,4", "--antennas", "2",
+                "--realizations", "3"]
+
+
+class TestParserBuiltOnce:
+    """`main` builds its parser on the first call and reuses it."""
+
+    SEQUENCE = [
+        ["sweep", "--seed", "5", *_SMALL_SWEEP],
+        ["sweep", *_SMALL_SWEEP],
+        ["range", "--target", "2", "--a", "8", "--b=-1.5"],
+        ["paper-check", "--bogus"],
+        ["range", "--target", "2.0", "--scheme", "mrt", "--antennas", "8",
+         "--tones", "1"],
+    ]
+
+    def test_calls_in_one_process_match_fresh_processes(self, monkeypatch, capsys):
+        # One terminal width for argparse in and out of process.
+        monkeypatch.setenv("COLUMNS", "80")
+        for argv in self.SEQUENCE:
+            code = cli.main(argv)
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == _wptsim(*argv), argv
+
+    def test_many_calls_build_one_parser_tree(self, monkeypatch, capsys):
+        progs = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            progs.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli.build_parser.cache_clear()
+        assert cli.main(self.SEQUENCE[2]) == 0
+        first = list(progs)
+        assert first.count("wptsim") == 1
+        for argv in self.SEQUENCE[2:]:
+            cli.main(argv)
+        assert progs == first
+
+    def test_import_and_config_build_no_parser(self):
+        # Benchmark setup imports the CLI and validates configs without
+        # calling main, so neither may build the parser.
+        code = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting_init(self, *args, **kwargs):\n"
+            "    built.append(1)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting_init\n"
+            "from wptsim import cli\n"
+            "from wptsim.harness import config_from_mapping\n"
+            "config_from_mapping({'tones': '1,8', 'realizations': '10'}).validate()\n"
+            "print(len(built))\n"
+            "cli.main(['range', '--target', '2', '--a', '8', '--b=-1.5'])\n"
+            "n = len(built)\n"
+            "cli.main(['range', '--target', '3', '--a', '8', '--b=-1.5'])\n"
+            "print(n > 0, len(built) == n)\n"
+        )
+        code, out, err = _python("-c", code)
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert (lines[0], lines[-1]) == ("0", "True True")
 
 
 class TestReadmeMatchesProgram:

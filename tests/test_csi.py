@@ -224,6 +224,15 @@ class TestFrameLoop:
             )
 
 
+    def test_estimate_beyond_the_design_names_its_settings(self):
+        # The estimate's entries near 1e150 overflow smf's power normalisation.
+        ch, grid = self._channel(seed=60, n_tones=8, m_antennas=2)
+        cfg = CsiConfig(noise_variance=1e300)
+        scheme = DesignScheme(kind="smf", power_budget=1.0)
+        with pytest.raises(ValueError, match="noise_variance = 1e.300.*pilot_amplitude"):
+            csi_loop_zdc(ch, scheme, cfg, PARAMS, seed=0, grid=grid)
+
+
 class _EstimateSeen(Exception):
     """Carries the channel estimate `csi_loop_zdc` hands to its design."""
 

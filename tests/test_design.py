@@ -1,10 +1,16 @@
 """Transmit designs: power budgets, phase alignment, limiting cases."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from wptsim.channel import ChannelRealization, complex_normal, make_rng
 from wptsim.design import (
+    ChannelScaleError,
     DesignScheme,
     apply_design,
     design_cw,
@@ -159,6 +165,96 @@ class TestSmf:
                                path_loss=1.0, distance=1.0)
         with pytest.raises(ValueError):
             design_smf(ch, 1.0, grid=ToneGrid.for_band(2))
+
+
+def scaled_channel(n_tones, m_antennas, scale):
+    return random_channel(make_rng(7), n_tones, m_antennas).h * scale
+
+
+def reference_mrt(h, p):
+    """MRT as written before the scale checks."""
+    h = h[..., 0, :]
+    rows = h.reshape(-1, h.shape[-1])
+    norms = np.array([np.linalg.norm(row) for row in rows]).reshape(h.shape[:-1])
+    return (math.sqrt(2.0 * p) / norms)[..., None, None] * np.conj(h)[..., None, :]
+
+
+def reference_smf(h, p, beta):
+    """SMF as written before the scale checks."""
+    norms = np.linalg.norm(h, axis=-1)
+    alive = norms > 0
+    shape = np.zeros_like(h)
+    shape[alive] = norms[alive][:, None] ** (beta - 1.0) * np.conj(h[alive])
+    scale = np.sqrt(2.0 * p / np.sum(norms ** (2.0 * beta), axis=-1))
+    return scale[..., None, None] * shape
+
+
+@st.composite
+def ordinary_channels(draw):
+    """(h, p, beta): up to 4 realizations of N <= 8, M <= 4 entries of
+    magnitude 1e-3..1e3 times 10**k, |k| <= 20, with some zero tones."""
+    r, n, m = draw(st.integers(1, 4)), draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    entries = st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3)
+    h = draw(hnp.arrays(np.complex128, (r, n, m), elements=entries))
+    dead = draw(hnp.arrays(np.bool_, (r, n)))
+    dead[:, 0] = False
+    h[dead] = 0.0
+    h *= 10.0 ** draw(st.integers(-20, 20))
+    return h, draw(st.floats(1e-6, 1e6)), draw(st.floats(0.25, 5.0))
+
+
+class TestChannelScale:
+    """Norms that overflow or underflow are rejected instead of yielding
+    zero or non-finite weights; ordinary channels keep their bits."""
+
+    @pytest.mark.parametrize("design", [design_mrt, design_smf])
+    def test_overflowing_norm_rejected(self, design):
+        ch = ChannelRealization(scaled_channel(1, 4, 1e160), 1.0, 1.0)
+        with pytest.raises(ChannelScaleError, match="the channel norm overflows"):
+            design(ch, 1.0)
+
+    def test_overflowing_normalisation_rejected(self):
+        ch = ChannelRealization(scaled_channel(8, 2, 1e60), 1.0, 1.0)
+        with pytest.raises(ChannelScaleError, match="power normalisation"):
+            design_smf(ch, 1.0)
+
+    def test_underflowing_normalisation_rejected(self):
+        # Norms near 1e-60 are fine, but their sixth powers underflow.
+        ch = ChannelRealization(scaled_channel(8, 2, 1e-60), 1.0, 1.0)
+        with pytest.raises(ChannelScaleError, match="power normalisation"):
+            design_smf(ch, 1.0, beta=3.0)
+
+    def test_overflowing_mrt_scale_rejected(self):
+        # ||h|| near 1e-160 is finite, but sqrt(2 p) / ||h|| is not.
+        ch = ChannelRealization(scaled_channel(1, 4, 1e-160), 1.0, 1.0)
+        with pytest.raises(ChannelScaleError, match="power normalisation"):
+            design_mrt(ch, 1e300)
+
+    @pytest.mark.parametrize("design", [design_mrt, design_smf])
+    def test_underflowing_norm_is_not_an_all_zero_channel(self, design):
+        ch = ChannelRealization(scaled_channel(1, 4, 1e-170), 1.0, 1.0)
+        with pytest.raises(ChannelScaleError, match="nonzero channel underflows"):
+            design(ch, 1.0)
+
+    @pytest.mark.parametrize(
+        "design, message",
+        [(design_mrt, "cannot beamform on an all-zero channel"),
+         (design_smf, "cannot design on an all-zero channel")],
+    )
+    def test_zero_channel_keeps_its_message(self, design, message):
+        ch = ChannelRealization(np.zeros((1, 4), complex), 1.0, 1.0)
+        with pytest.raises(ValueError, match=message):
+            design(ch, 1.0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(ordinary_channels())
+    def test_ordinary_channels_keep_their_bits(self, case):
+        h, p, beta = case
+        ch = ChannelRealization(h, 1.0, 1.0)
+        smf = design_smf(ch, p, beta=beta).w
+        assert smf.tobytes() == reference_smf(h, p, beta).tobytes()
+        mrt = design_mrt(ChannelRealization(h[..., :1, :], 1.0, 1.0), p).w
+        assert mrt.tobytes() == reference_mrt(h[..., :1, :], p).tobytes()
 
 
 class TestScheme:
