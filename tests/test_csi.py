@@ -223,7 +223,6 @@ class TestFrameLoop:
                 grid=ToneGrid.for_band(2),
             )
 
-
     def test_estimate_beyond_the_design_names_its_settings(self):
         # The estimate's entries near 1e150 overflow smf's power normalisation.
         ch, grid = self._channel(seed=60, n_tones=8, m_antennas=2)
