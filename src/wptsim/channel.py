@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .signals import ToneGrid, csv_text, entries_from_json, entries_to_json
-from .signals import read_csv_entries, read_field
+from .signals import frozen_complex, positive_finite, read_csv_entries, read_field
 
 FREQUENCY_FLAT = "frequency_flat"
 TAPPED_DELAY = "tapped_delay"
@@ -262,9 +262,10 @@ class ChannelModel:
         for name in ("delay_spread", "pdp_decay"):
             if not 0 <= getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be >= 0 and finite")
-        for name in ("path_loss_ref", "path_loss_exponent"):
-            if not 0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be positive and finite")
+        positive_finite(
+            path_loss_ref=self.path_loss_ref,
+            path_loss_exponent=self.path_loss_exponent,
+        )
 
     @property
     def tap_count(self) -> int:
@@ -296,17 +297,10 @@ class ChannelRealization:
     distance: float
 
     def __post_init__(self) -> None:
-        h = np.array(self.h, dtype=np.complex128)
-        if h.ndim < 2:
-            raise ValueError("h must be at least 2-D: (..., n_tones, m_antennas)")
+        h = frozen_complex(self.h, "h", ("n_tones", "m_antennas"))
         if h.shape[-2] < 1 or h.shape[-1] < 1:
             raise ValueError("h must have at least one tone and one antenna")
-        if not np.isfinite(h).all():
-            raise ValueError("h entries must be finite")
-        for name in ("path_loss", "distance"):
-            if not 0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be positive and finite")
-        h.flags.writeable = False
+        positive_finite(path_loss=self.path_loss, distance=self.distance)
         object.__setattr__(self, "h", h)
 
     @property
@@ -327,10 +321,9 @@ class ChannelRealization:
 
 
 def path_loss(model: ChannelModel, distance: float) -> float:
-    """Large-scale attenuation ref * d^exponent; errors on d <= 0 and on a
-    result that over- or underflows."""
-    if not distance > 0:
-        raise ValueError("distance must be positive")
+    """Large-scale attenuation ref * d^exponent; errors on a distance that is
+    not positive and finite and on a result that over- or underflows."""
+    positive_finite(distance=distance)
     try:
         loss = model.path_loss_ref * float(distance) ** model.path_loss_exponent
     except OverflowError:

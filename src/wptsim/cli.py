@@ -16,7 +16,7 @@ import functools
 import sys
 
 from .channel import load_channel
-from .design import DesignScheme, apply_design, effective_channel
+from .design import SCHEME_KINDS, DesignScheme, apply_design, effective_channel
 from .fitlab import (
     PowerLawFit,
     fit_report,
@@ -35,7 +35,7 @@ from .harness import (
     run_sweep,
     sweep_to_csv,
 )
-from .rectifier import received_tones, z_dc
+from .rectifier import RectifierParams, received_tones, z_dc
 from .signals import save_weights
 
 _EXIT_OK = 0
@@ -97,7 +97,7 @@ def _cmd_design(args: argparse.Namespace) -> int:
 def _cmd_zdc(args: argparse.Namespace) -> int:
     scheme, channel, weights = _design_for_channel(args)
     tones = received_tones(weights, effective_channel(scheme, channel))
-    value = z_dc(tones, ExperimentConfig().rectifier)
+    value = z_dc(tones, RectifierParams())
     print(format(value, ".9g"))
     return _EXIT_OK
 
@@ -181,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_channel_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--channel", required=True, help="channel file (.csv or .json)")
-        p.add_argument("--scheme", required=True, choices=["cw", "mrt", "up", "smf"])
+        p.add_argument("--scheme", required=True, choices=SCHEME_KINDS)
         p.add_argument("--power", type=float, help="power budget (default 1.0)")
         p.add_argument("--beta", type=float, help="smf emphasis exponent")
         p.add_argument("--out", help="output file")

@@ -20,7 +20,7 @@ import numpy as np
 from .channel import ChannelRealization, seed_array, unit_normals
 from .design import ChannelScaleError, DesignScheme, apply_design, effective_channel
 from .rectifier import RectifierParams, received_tones, z_dc
-from .signals import ToneGrid
+from .signals import ToneGrid, frozen_complex, positive_finite
 
 
 @dataclass(frozen=True)
@@ -58,8 +58,7 @@ class CsiConfig:
                 "quant_bits_per_component must be >= 2 (or None): one bit "
                 "rounds every component to zero"
             )
-        if not 0 < self.frame_length < np.inf:
-            raise ValueError("frame_length must be positive and finite")
+        positive_finite(frame_length=self.frame_length)
         if not 0 < self.acquisition_time < self.frame_length:
             raise ValueError("acquisition_time must lie inside the frame")
 
@@ -121,11 +120,7 @@ def quantize_csi(h: np.ndarray, bits_per_component: int) -> np.ndarray:
             "bits_per_component must be >= 2: one bit rounds every "
             "component to zero"
         )
-    h = np.asarray(h, dtype=np.complex128)
-    if h.ndim < 2:
-        raise ValueError("h must be at least 2-D: (..., n_tones, m_antennas)")
-    if not np.all(np.isfinite(h)):
-        raise ValueError("h entries must be finite")
+    h = frozen_complex(h, "h", ("n_tones", "m_antennas"))
     peak = np.maximum(
         np.max(np.abs(h.real), axis=(-2, -1), initial=0.0, keepdims=True),
         np.max(np.abs(h.imag), axis=(-2, -1), initial=0.0, keepdims=True),

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import ChannelRealization
-from .signals import PrecoderWeights, ToneGrid
+from .signals import PrecoderWeights, ToneGrid, positive_finite
 
 CW = "cw"
 MRT = "mrt"
@@ -41,10 +41,9 @@ class DesignScheme:
     def __post_init__(self) -> None:
         if self.kind not in SCHEME_KINDS:
             raise ValueError(f"kind must be one of {SCHEME_KINDS}")
-        if not 0 < self.power_budget < np.inf:
-            raise ValueError("power_budget must be positive and finite")
-        if self.kind == SMF and not 0 < self.beta < np.inf:
-            raise ValueError("beta must be positive and finite for smf")
+        positive_finite(power_budget=self.power_budget)
+        if self.kind == SMF:
+            positive_finite(beta=self.beta)
 
 
 def _resolve_grid(channel: ChannelRealization, grid: ToneGrid | None) -> ToneGrid:
@@ -96,8 +95,7 @@ def design_cw(
 
     The weights have shape ``(*batch_shape, 1, 1)``.
     """
-    if not p > 0:
-        raise ValueError("p must be positive")
+    positive_finite(p=p)
     if grid is None:
         grid = ToneGrid.for_band(1)
     if grid.n_tones != 1:
@@ -115,15 +113,16 @@ def design_mrt(
     a normalisation sqrt(2 p) / ||h|| that is not positive and finite raise
     ChannelScaleError; an all-zero channel raises ValueError.
     """
-    if not p > 0:
-        raise ValueError("p must be positive")
+    positive_finite(p=p)
     if channel.n_tones != 1:
         raise ValueError("MRT is a single-tone design; channel must have n_tones = 1")
     h = channel.h
-    # One 1-D norm per realization: batched norms round differently.
-    rows = h.reshape(-1, channel.m_antennas)
+    re, im = h.real, h.imag
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        norms = np.array([np.linalg.norm(row) for row in rows]).reshape(h.shape[:-1])
+        # Each (1, M) @ (M, 1) product is one BLAS dot, the one the 1-D
+        # np.linalg.norm takes, so these norms keep its bits; a batched
+        # norm(axis=-1) or einsum rounds differently.
+        norms = np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0]
         scale = math.sqrt(2.0 * p) / norms
         w = scale[..., None] * np.conj(h)
     _check_weights(norms, scale, w, h, "beamform")
@@ -138,8 +137,7 @@ def design_up(
     Every entry has amplitude sqrt(2 p / (N M)); entry (n, m) carries the
     negated channel phase so the received tones still combine coherently.
     """
-    if not p > 0:
-        raise ValueError("p must be positive")
+    positive_finite(p=p)
     amp = math.sqrt(2.0 * p / (channel.n_tones * channel.m_antennas))
     w = amp * np.exp(-1j * channel.phases)
     return PrecoderWeights(w, _resolve_grid(channel, grid))
@@ -163,10 +161,7 @@ def design_smf(
     and finite raise ChannelScaleError; a realization whose tones are all
     zero raises ValueError.
     """
-    if not p > 0:
-        raise ValueError("p must be positive")
-    if not beta > 0:
-        raise ValueError("beta must be positive")
+    positive_finite(p=p, beta=beta)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         norms = np.linalg.norm(channel.h, axis=-1)
         alive = norms > 0

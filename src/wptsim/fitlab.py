@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import csv_text, read_csv_entries, read_field
+from .signals import csv_text, positive_finite, read_csv_entries, read_field
 
 MEASUREMENT_FIELDS = ["scheme", "n_tones", "m_antennas", "distance_m", "p_dc"]
 
@@ -31,8 +31,7 @@ class PowerLawFit:
     b: float
 
     def __post_init__(self) -> None:
-        if not 0 < self.a < math.inf:
-            raise ValueError("a must be positive and finite")
+        positive_finite(a=self.a)
         if not -math.inf < self.b < 0:
             raise ValueError(
                 "b must be negative and finite (power decays with distance)"
@@ -124,16 +123,14 @@ def fit_power_law(records: list[MeasurementRecord]) -> PowerLawFit:
 
 def predict_pdc(fit: PowerLawFit, distance: float) -> float:
     """Power at a distance under the fitted law."""
-    if not distance > 0:
-        raise ValueError("distance must be positive")
+    positive_finite(distance=distance)
     return fit.a * distance**fit.b
 
 
 def invert_range(fit: PowerLawFit, p_target: float) -> float:
     """Distance at which the fitted law delivers `p_target`; raises when that
     distance is beyond float range."""
-    if not 0 < p_target < math.inf:
-        raise ValueError("p_target must be positive and finite")
+    positive_finite(p_target=p_target)
     try:
         distance = (p_target / fit.a) ** (1.0 / fit.b)
     except OverflowError:

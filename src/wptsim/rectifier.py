@@ -23,8 +23,10 @@ from .channel import ChannelRealization
 from .signals import (
     PrecoderWeights,
     ToneGrid,
+    frozen_complex,
     multisine,
     per_realization,
+    positive_finite,
     require_single,
 )
 
@@ -46,9 +48,7 @@ class RectifierParams:
     r_ant: float = DEFAULT_R_ANT
 
     def __post_init__(self) -> None:
-        for name in ("k2", "k4", "r_ant"):
-            if not 0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be positive and finite")
+        positive_finite(k2=self.k2, k4=self.k4, r_ant=self.r_ant)
 
 
 def check_comb(grid: ToneGrid) -> None:
@@ -70,17 +70,12 @@ class ReceivedTones:
     grid: ToneGrid
 
     def __post_init__(self) -> None:
-        a = np.array(self.a, dtype=np.complex128)
-        if a.ndim < 1:
-            raise ValueError("a must be at least 1-D: (..., n_tones)")
+        a = frozen_complex(self.a, "a", ("n_tones",))
         if a.shape[-1] != self.grid.n_tones:
             raise ValueError(
                 f"a has {a.shape[-1]} tones but the grid has {self.grid.n_tones}"
             )
-        if not np.all(np.isfinite(a)):
-            raise ValueError("a entries must be finite")
         check_comb(self.grid)
-        a.flags.writeable = False
         object.__setattr__(self, "a", a)
 
     @property
@@ -206,10 +201,7 @@ def scaling_law_cw(params: RectifierParams, path_loss: float, p: float) -> float
     k2 R p / L + 3 k4 R^2 p^2 / L^2; the factor 3 is (3/2) times the
     fourth moment (= 2) of a unit-variance Rayleigh channel amplitude.
     """
-    if not path_loss > 0:
-        raise ValueError("path_loss must be positive")
-    if not p > 0:
-        raise ValueError("p must be positive")
+    positive_finite(path_loss=path_loss, p=p)
     second = params.k2 * params.r_ant * p / path_loss
     fourth = 3.0 * params.k4 * params.r_ant**2 * p**2 / path_loss**2
     return second + fourth
@@ -228,10 +220,7 @@ def scaling_law_ca(
     antennas, the fourth-order term linearly in tones and quadratically in
     antennas.
     """
-    if not path_loss > 0:
-        raise ValueError("path_loss must be positive")
-    if not p > 0:
-        raise ValueError("p must be positive")
+    positive_finite(path_loss=path_loss, p=p)
     if n_tones < 1:
         raise ValueError("n_tones must be >= 1")
     if m_antennas < 1:

@@ -10,7 +10,9 @@ m_antennas)``, and any leading axes index independent realizations.  A 2-D
 matrix is the batch of one; per-realization quantities then come back as a
 float instead of an array.  Waveform synthesis and the file codecs take a
 single realization only.  Every CSV table the program reads or writes goes
-through `csv_text` and `read_csv_entries`.
+through `csv_text` and `read_csv_entries`.  Every setting that must be
+positive and finite is checked by `positive_finite`, and every complex array
+a value class holds is built by `frozen_complex`.
 """
 
 from __future__ import annotations
@@ -27,6 +29,29 @@ import numpy as np
 
 DEFAULT_F0 = 2.4e9
 DEFAULT_BAND_LIMIT = 10e6
+
+
+def positive_finite(**values) -> None:
+    """Raise ValueError "<name> must be positive and finite" for the first
+    value, in the order given, outside (0, inf); nan is outside too."""
+    for name, value in values.items():
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite")
+
+
+def frozen_complex(values, name: str, axes: tuple[str, ...]) -> np.ndarray:
+    """A read-only complex128 copy of `values`; ValueError naming `name`
+    unless it has at least one axis per name in `axes` (the trailing core
+    axes) and finite entries."""
+    array = np.array(values, dtype=np.complex128)
+    if array.ndim < len(axes):
+        raise ValueError(
+            f"{name} must be at least {len(axes)}-D: (..., {', '.join(axes)})"
+        )
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name} entries must be finite")
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True)
@@ -47,9 +72,7 @@ class ToneGrid:
     def __post_init__(self) -> None:
         if self.n_tones < 1:
             raise ValueError("n_tones must be >= 1")
-        for name in ("f0", "delta_f"):
-            if not 0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be positive and finite")
+        positive_finite(f0=self.f0, delta_f=self.delta_f)
         if not self.band_limit > 0:
             raise ValueError("band_limit must be positive")
         occupied = (self.n_tones - 1) * self.delta_f
@@ -108,9 +131,7 @@ class PrecoderWeights:
     grid: ToneGrid
 
     def __post_init__(self) -> None:
-        w = np.array(self.w, dtype=np.complex128)
-        if w.ndim < 2:
-            raise ValueError("w must be at least 2-D: (..., n_tones, m_antennas)")
+        w = frozen_complex(self.w, "w", ("n_tones", "m_antennas"))
         if w.shape[-2] != self.grid.n_tones:
             raise ValueError(
                 f"w has {w.shape[-2]} rows but the grid has "
@@ -118,9 +139,6 @@ class PrecoderWeights:
             )
         if w.shape[-1] < 1:
             raise ValueError("w must have at least one antenna column")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("w entries must be finite")
-        w.flags.writeable = False
         object.__setattr__(self, "w", w)
 
     @property
@@ -160,8 +178,7 @@ def tx_power(weights: PrecoderWeights):
 
 def normalize_power(weights: PrecoderWeights, p: float) -> PrecoderWeights:
     """Rescale each realization (positive scalar multiple) so tx_power equals p."""
-    if not p > 0:
-        raise ValueError("p must be positive")
+    positive_finite(p=p)
     current = np.asarray(tx_power(weights))
     if np.any(current == 0.0):
         raise ValueError("cannot normalize an all-zero weight matrix")

@@ -12,6 +12,7 @@ from wptsim.channel import ChannelRealization, complex_normal, make_rng
 from wptsim.design import (
     ChannelScaleError,
     DesignScheme,
+    _check_weights,
     apply_design,
     design_cw,
     design_mrt,
@@ -179,6 +180,21 @@ def reference_mrt(h, p):
     return (math.sqrt(2.0 * p) / norms)[..., None, None] * np.conj(h)[..., None, :]
 
 
+def per_row_mrt(h, p):
+    """MRT with one 1-D np.linalg.norm per realization, under the design's
+    own scale checks: the weights, or the (type, message) of the error."""
+    rows = h.reshape(-1, h.shape[-1])
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        norms = np.array([np.linalg.norm(row) for row in rows]).reshape(h.shape[:-1])
+        scale = math.sqrt(2.0 * p) / norms
+        w = scale[..., None] * np.conj(h)
+    try:
+        _check_weights(norms, scale, w, h, "beamform")
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return w
+
+
 def reference_smf(h, p, beta):
     """SMF as written before the scale checks."""
     norms = np.linalg.norm(h, axis=-1)
@@ -201,6 +217,18 @@ def ordinary_channels(draw):
     h[dead] = 0.0
     h *= 10.0 ** draw(st.integers(-20, 20))
     return h, draw(st.floats(1e-6, 1e6)), draw(st.floats(0.25, 5.0))
+
+
+@st.composite
+def mrt_batches(draw):
+    """(h, p): up to 8 single-tone realizations on M <= 16 antennas, entries
+    of magnitude 1e-3..1e3 times 10**k, |k| <= 170, with some zero rows."""
+    r, m = draw(st.integers(1, 8)), draw(st.integers(1, 16))
+    entries = st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3)
+    h = draw(hnp.arrays(np.complex128, (r, 1, m), elements=entries))
+    h[draw(hnp.arrays(np.bool_, r))] = 0.0
+    h *= 10.0 ** draw(st.integers(-170, 170))
+    return h, draw(st.floats(1e-6, 1e6))
 
 
 class TestChannelScale:
@@ -255,6 +283,19 @@ class TestChannelScale:
         assert smf.tobytes() == reference_smf(h, p, beta).tobytes()
         mrt = design_mrt(ChannelRealization(h[..., :1, :], 1.0, 1.0), p).w
         assert mrt.tobytes() == reference_mrt(h[..., :1, :], p).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(mrt_batches())
+    def test_batched_mrt_norm_matches_per_row_norm(self, case):
+        h, p = case
+        expected = per_row_mrt(h, p)
+        try:
+            w = design_mrt(ChannelRealization(h, 1.0, 1.0), p).w
+        except ValueError as exc:
+            assert (type(exc), str(exc)) == expected
+        else:
+            assert isinstance(expected, np.ndarray)
+            assert np.array_equal(w, expected)
 
 
 class TestScheme:
