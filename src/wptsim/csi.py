@@ -1,5 +1,5 @@
-"""Simulated channel-state acquisition: pilot LS estimates, quantization,
-and the acquire-design-harvest frame loop.
+"""Simulated channel-state acquisition, every setting from one `CsiConfig`:
+pilot LS estimates, quantization, and the acquire-design-harvest frame loop.
 
 The loop mirrors how an adaptive transmitter actually operates: it never
 sees the true channel, only a least-squares estimate corrupted by receiver
@@ -22,16 +22,28 @@ from .design import ChannelScaleError, DesignScheme, apply_design, effective_cha
 from .rectifier import RectifierParams, received_tones, z_dc
 from .signals import ToneGrid, frozen_complex, positive_finite
 
+# The quantizer's level count 2.0**bits overflows a float above this.
+MAX_QUANT_BITS = np.finfo(float).maxexp - 1
+
+
+def check_quant_bits(bits: int) -> None:
+    """Reject quantizer bits outside [2, MAX_QUANT_BITS], naming the key."""
+    if not 2 <= bits <= MAX_QUANT_BITS:
+        raise ValueError(
+            f"quant_bits must be from 2 to {MAX_QUANT_BITS}: one bit rounds every "
+            "component to zero, and 2.0**quant_bits overflows a float above that"
+        )
+
 
 @dataclass(frozen=True)
 class CsiConfig:
     """Acquisition settings for one feedback frame.
 
     `quant_bits_per_component` counts bits per real and per imaginary part
-    of each coefficient (the default 8 + 8 matches a 16-bit feedback word);
-    None disables quantization.  The acquisition overhead multiplier
-    (frame_length - acquisition_time) / frame_length is only applied when
-    `account_acquisition_time` is set.
+    of each coefficient (the default 8 + 8 matches a 16-bit feedback word),
+    bounded by `check_quant_bits`; None disables quantization.  The
+    acquisition overhead multiplier (frame_length - acquisition_time) /
+    frame_length is only applied when `account_acquisition_time` is set.
     """
 
     pilot_amplitude: float = 1.0
@@ -51,13 +63,8 @@ class CsiConfig:
             )
         if not 0 <= self.noise_variance < np.inf:
             raise ValueError("noise_variance must be >= 0 and finite")
-        if self.quant_bits_per_component is not None and (
-            self.quant_bits_per_component < 2
-        ):
-            raise ValueError(
-                "quant_bits_per_component must be >= 2 (or None): one bit "
-                "rounds every component to zero"
-            )
+        if self.quant_bits_per_component is not None:
+            check_quant_bits(self.quant_bits_per_component)
         positive_finite(frame_length=self.frame_length)
         if not 0 < self.acquisition_time < self.frame_length:
             raise ValueError("acquisition_time must lie inside the frame")
@@ -68,37 +75,32 @@ class CsiConfig:
         return (self.frame_length - self.acquisition_time) / self.frame_length
 
 
-def ls_estimate(
-    pilot: np.ndarray, received: np.ndarray, noise_seed, cfg: CsiConfig
-) -> np.ndarray:
-    """Least-squares channel estimate (received + noise) / pilot, per entry.
+def ls_estimate(h: np.ndarray, noise_seed, cfg: CsiConfig) -> np.ndarray:
+    """Least-squares estimate (p * h + noise) / p of channel `h`, per entry.
 
-    Noise is CN(0, noise_variance).  `noise_seed` is one integer seed (the
-    batch of one), or an array-like of seeds matching the leading axes of
-    `pilot`, each of which draws the trailing block it indexes exactly as
-    `complex_normal(make_rng(seed), shape)` would; seeds must be integers in
-    [0, 2**64), the range `derive_seed` yields.  The draws come from
+    The pilot p = cfg.pilot_amplitude sounds every entry, and the noise is
+    CN(0, noise_variance).  `noise_seed` is one integer seed (the batch of
+    one), or an array-like of seeds matching the leading axes of `h`, each
+    of which draws the trailing block it indexes exactly as
+    `complex_normal(make_rng(seed), shape)` would; seeds must be integers
+    in [0, 2**64), the range `derive_seed` yields.  The draws come from
     `unit_normals`, which re-keys the process's one Philox per seed.  The
     unit draw is taken before scaling, so sweeping the variance with fixed
     seeds reuses one noise direction.  Unbiased, with per-entry error
-    variance noise_variance / |pilot|^2.  An estimate that overflows raises
+    variance noise_variance / p**2.  An estimate that overflows raises
     ValueError naming noise_variance and pilot_amplitude.
     """
-    pilot = np.asarray(pilot, dtype=np.complex128)
-    received = np.asarray(received, dtype=np.complex128)
-    if pilot.shape != received.shape:
-        raise ValueError("pilot and received must have matching shapes")
-    if np.any(pilot == 0):
-        raise ValueError("pilot entries must be nonzero")
+    h = np.asarray(h, dtype=np.complex128)
     seeds = seed_array(noise_seed, "noise_seed")
-    if pilot.shape[: seeds.ndim] != seeds.shape:
+    if h.shape[: seeds.ndim] != seeds.shape:
         raise ValueError(
             f"noise seeds of shape {seeds.shape} do not match the leading "
-            f"axes of the pilot shape {pilot.shape}"
+            f"axes of the channel shape {h.shape}"
         )
-    unit = unit_normals(seeds, pilot.shape[seeds.ndim :])
+    unit = unit_normals(seeds, h.shape[seeds.ndim :])
+    pilot = complex(cfg.pilot_amplitude)
     with np.errstate(over="ignore", invalid="ignore"):
-        estimate = (received + np.sqrt(cfg.noise_variance) * unit) / pilot
+        estimate = (pilot * h + np.sqrt(cfg.noise_variance) * unit) / pilot
     if not np.isfinite(estimate).all():
         raise ValueError(
             "the CSI estimate overflows: sqrt(noise_variance) / pilot_amplitude "
@@ -113,20 +115,19 @@ def quantize_csi(h: np.ndarray, bits_per_component: int) -> np.ndarray:
     Each matrix (the last two axes of `h`) has its own step 2 X / (2^b - 1),
     with X its largest component magnitude, and q(x) = step * round(x / step):
     zero is always representable and no component moves by more than half a
-    step.  An all-zero matrix is returned unchanged.
+    step.  A matrix whose step underflows to zero, all-zero or not, is
+    returned unchanged (each component is already the nearest float to its
+    level).  `bits_per_component` must pass `check_quant_bits`.
     """
-    if bits_per_component < 2:
-        raise ValueError(
-            "bits_per_component must be >= 2: one bit rounds every "
-            "component to zero"
-        )
+    check_quant_bits(bits_per_component)
     h = frozen_complex(h, "h", ("n_tones", "m_antennas"))
     peak = np.maximum(
         np.max(np.abs(h.real), axis=(-2, -1), initial=0.0, keepdims=True),
         np.max(np.abs(h.imag), axis=(-2, -1), initial=0.0, keepdims=True),
     )
-    nonzero = peak > 0.0
-    step = np.where(nonzero, 2.0 * peak / (2.0**bits_per_component - 1.0), 1.0)
+    step = 2.0 * peak / (2.0**bits_per_component - 1.0)
+    nonzero = step > 0.0
+    step = np.where(nonzero, step, 1.0)
     q = step * np.round(h.real / step) + 1j * step * np.round(h.imag / step)
     return np.where(nonzero, q, h)
 
@@ -141,8 +142,9 @@ def csi_loop_zdc(
 ):
     """One acquire-design-harvest frame; returns the delivered DC output.
 
-    Pilots of amplitude `cfg.pilot_amplitude` sound every tone/antenna pair;
-    the design is computed from the noisy, quantized LS estimate and then
+    `ls_estimate` sounds every tone/antenna pair with the pilot amplitude of
+    `cfg`, and `quantize_csi` applies its bits unless they are None; the
+    design is computed from the noisy, quantized LS estimate and then
     evaluated through the true channel.  For a batched `true_channel`,
     `seed` holds one noise seed per realization and the result is an array
     of per-realization outputs.  Degenerate estimates (for example all
@@ -150,12 +152,7 @@ def csi_loop_zdc(
     scale the design cannot normalise raises ValueError naming
     noise_variance and pilot_amplitude.
     """
-    pilot = np.full(
-        true_channel.h.shape, cfg.pilot_amplitude, dtype=np.complex128
-    )
-    with np.errstate(over="ignore"):  # ls_estimate names an overflow
-        received = pilot * true_channel.h
-    estimate = ls_estimate(pilot, received, seed, cfg)
+    estimate = ls_estimate(true_channel.h, seed, cfg)
     if cfg.quant_bits_per_component is not None:
         estimate = quantize_csi(estimate, cfg.quant_bits_per_component)
     believed = ChannelRealization(

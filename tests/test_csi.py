@@ -13,7 +13,13 @@ from wptsim.channel import (
     make_rng,
     sample_channel,
 )
-from wptsim.csi import CsiConfig, csi_loop_zdc, ls_estimate, quantize_csi
+from wptsim.csi import (
+    MAX_QUANT_BITS,
+    CsiConfig,
+    csi_loop_zdc,
+    ls_estimate,
+    quantize_csi,
+)
 from wptsim.design import DesignScheme, apply_design, effective_channel
 from wptsim.rectifier import RectifierParams, received_tones, z_dc
 from wptsim.signals import ToneGrid
@@ -68,16 +74,14 @@ class TestLsEstimate:
     def test_noiseless_is_exact(self):
         rng = make_rng(1)
         h = complex_normal(rng, (4, 3))
-        pilot = np.full((4, 3), 2.0, dtype=np.complex128)
-        est = ls_estimate(pilot, pilot * h, noise_seed=0, cfg=CsiConfig())
+        est = ls_estimate(h, noise_seed=0, cfg=CsiConfig(pilot_amplitude=2.0))
         np.testing.assert_allclose(est, h, rtol=1e-12)
 
     def test_error_variance(self):
         # err = sqrt(var) * CN(0,1) / pilot, so E|err|^2 = var / |pilot|^2.
-        cfg = CsiConfig(noise_variance=0.04)
-        pilot = np.full((100, 100), 2.0, dtype=np.complex128)
+        cfg = CsiConfig(pilot_amplitude=2.0, noise_variance=0.04)
         h = np.zeros((100, 100), dtype=np.complex128)
-        est = ls_estimate(pilot, pilot * h, noise_seed=7, cfg=cfg)
+        est = ls_estimate(h, noise_seed=7, cfg=cfg)
         assert np.mean(np.abs(est) ** 2) == pytest.approx(0.01, rel=0.05)
 
     def test_noise_direction_fixed_across_variances(self):
@@ -85,24 +89,22 @@ class TestLsEstimate:
         # shrinks the same error vector instead of redrawing it.
         rng = make_rng(2)
         h = complex_normal(rng, (2, 2))
-        pilot = np.ones((2, 2), dtype=np.complex128)
-        e1 = ls_estimate(pilot, pilot * h, 5, CsiConfig(noise_variance=0.01)) - h
-        e4 = ls_estimate(pilot, pilot * h, 5, CsiConfig(noise_variance=0.04)) - h
+        e1 = ls_estimate(h, 5, CsiConfig(noise_variance=0.01)) - h
+        e4 = ls_estimate(h, 5, CsiConfig(noise_variance=0.04)) - h
         np.testing.assert_allclose(e4, 2.0 * e1, rtol=1e-12)
 
-    def test_shape_mismatch_rejected(self):
+    def test_seed_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
-            ls_estimate(np.ones((1, 2)), np.ones((2, 1)), 0, CsiConfig())
+            ls_estimate(np.ones((2, 1, 2)), [0, 1, 2], CsiConfig())
 
     def test_zero_pilot_rejected(self):
-        with pytest.raises(ValueError, match="nonzero"):
-            ls_estimate(np.zeros((1, 1)), np.zeros((1, 1)), 0, CsiConfig())
+        with pytest.raises(ValueError, match="pilot_amplitude"):
+            CsiConfig(pilot_amplitude=0.0)
 
     def test_overflowing_estimate_names_its_settings(self):
         cfg = CsiConfig(pilot_amplitude=1e-300, noise_variance=1e20)
-        pilot = np.full((2, 2), cfg.pilot_amplitude, dtype=np.complex128)
         with pytest.raises(ValueError, match="noise_variance.*pilot_amplitude"):
-            ls_estimate(pilot, pilot, 0, cfg)
+            ls_estimate(np.ones((2, 2)), 0, cfg)
 
 
 class TestQuantizer:
@@ -144,11 +146,29 @@ class TestQuantizer:
         h = complex_normal(rng, (3, 3))
         np.testing.assert_allclose(quantize_csi(h, 24), h, atol=1e-6)
 
-    def test_rejects_bad_bits(self):
-        with pytest.raises(ValueError):
-            quantize_csi(np.ones((1, 1), dtype=complex), 0)
-        with pytest.raises(ValueError, match="zero"):
-            quantize_csi(np.ones((1, 1), dtype=complex), 1)
+    @pytest.mark.parametrize("bits", [0, 1, 1024, 10**6])
+    def test_rejects_bits_outside_the_range_naming_the_key(self, bits):
+        with pytest.raises(ValueError, match="quant_bits must be from 2 to 1023"):
+            quantize_csi(np.ones((1, 1), dtype=complex), bits)
+        with pytest.raises(ValueError, match="quant_bits must be from 2 to 1023"):
+            CsiConfig(quant_bits_per_component=bits)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.floats(-323, 307),
+        st.integers(2, MAX_QUANT_BITS),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_every_accepted_bit_count_stays_finite(self, log_scale, bits, seed):
+        # At 1023 bits the step of a small matrix underflows to zero, and
+        # the matrix is returned as it is instead of as 0 / 0.
+        h = 10.0**log_scale * complex_normal(make_rng(seed), (2, 3))
+        q = quantize_csi(h, bits)
+        assert np.isfinite(q).all()
+        peak = max(np.max(np.abs(h.real)), np.max(np.abs(h.imag)))
+        step = 2.0 * peak / (2.0**bits - 1.0)
+        if step == 0.0:
+            assert np.array_equal(q, h)
 
 
 class TestFrameLoop:

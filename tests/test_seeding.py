@@ -129,19 +129,30 @@ class TestDeriveSeed:
         assert derive_seed(np.uint64(2**64 - 1), np.int8(3)) == derive_seed(2**64 - 1, 3)
 
 
-def per_index_reference(pilot, received, noise_seed):
-    """One `complex_normal(make_rng(seed))` draw per leading index."""
+def per_index_reference(h, noise_seed, cfg):
+    """One `complex_normal(make_rng(seed))` draw per leading index, through
+    the arithmetic of an array filled with the pilot; None where it is not
+    finite."""
     index_seeds = np.array(noise_seed, dtype=object)
-    unit = np.empty(pilot.shape, dtype=np.complex128)
+    unit = np.empty(h.shape, dtype=np.complex128)
     for index in np.ndindex(index_seeds.shape):
         unit[index] = complex_normal(
-            make_rng(index_seeds[index]), pilot.shape[index_seeds.ndim :]
+            make_rng(index_seeds[index]), h.shape[index_seeds.ndim :]
         )
-    return (received + np.sqrt(CFG.noise_variance) * unit) / pilot
+    pilot = np.full(h.shape, cfg.pilot_amplitude, dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        estimate = (pilot * h + np.sqrt(cfg.noise_variance) * unit) / pilot
+    return estimate if np.isfinite(estimate).all() else None
+
+
+def log_uniform(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
 
 
 @st.composite
 def estimate_inputs(draw):
+    """A channel of any scale with exact (signed) zero components, seeds for
+    its leading axes, and a pilot from the smallest normal float to 1e300."""
     seed_shape = draw(st.sampled_from([(), (3,), (2, 3)]))
     n = draw(st.integers(1, 4))
     m = draw(st.integers(1, 3))
@@ -152,27 +163,47 @@ def estimate_inputs(draw):
     ).reshape(seed_shape).tolist()
     shape = seed_shape + (n, m)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    pilot = rng.uniform(0.5, 2.0, shape) * np.exp(1j * rng.uniform(0, 6.3, shape))
-    received = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return pilot, received, noise_seed
+    scale = draw(st.one_of(st.just(1.0), log_uniform(-300, 300)))
+    h = np.empty(shape, dtype=np.complex128)
+    for part in (h.real, h.imag):
+        part[...] = scale * rng.standard_normal(shape)
+        zero = rng.random(shape) < 0.3
+        part[zero] = np.copysign(0.0, rng.standard_normal(shape))[zero]
+    cfg = CsiConfig(
+        pilot_amplitude=draw(
+            st.one_of(
+                st.sampled_from([np.finfo(float).tiny, 1e-300, 1.0, 1e300]),
+                log_uniform(-307, 300),
+            )
+        ),
+        noise_variance=draw(
+            st.one_of(st.sampled_from([0.0, 0.25]), log_uniform(-300, 300))
+        ),
+    )
+    return h, noise_seed, cfg
 
 
 class TestLsEstimate:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(estimate_inputs())
     def test_equals_per_index_reference(self, inputs):
-        pilot, received, noise_seed = inputs
-        assert np.array_equal(
-            ls_estimate(pilot, received, noise_seed, CFG),
-            per_index_reference(pilot, received, noise_seed),
-        )
+        # A scalar pilot takes numpy's complex multiply and divide exactly
+        # as an array filled with it does, signed zeros and overflow included.
+        h, noise_seed, cfg = inputs
+        expected = per_index_reference(h, noise_seed, cfg)
+        if expected is None:
+            with pytest.raises(ValueError, match="overflows"):
+                ls_estimate(h, noise_seed, cfg)
+        else:
+            estimate = ls_estimate(h, noise_seed, cfg)
+            assert np.array_equal(estimate.view(np.uint64), expected.view(np.uint64))
 
     def test_uint64_seed_array(self):
-        pilot = np.ones((2, 3, 2), dtype=np.complex128)
+        h = np.ones((2, 3, 2), dtype=np.complex128)
         noise_seed = np.array([2**64 - 1, 2**32], dtype=np.uint64)
         assert np.array_equal(
-            ls_estimate(pilot, pilot, noise_seed, CFG),
-            per_index_reference(pilot, pilot, noise_seed.tolist()),
+            ls_estimate(h, noise_seed, CFG),
+            per_index_reference(h, noise_seed.tolist(), CFG),
         )
 
     @pytest.mark.parametrize(
@@ -181,14 +212,14 @@ class TestLsEstimate:
     def test_rejects_seed_outside_range_naming_it(self, noise_seed):
         shape = np.shape(noise_seed) + (1, 1)
         with pytest.raises(ValueError, match="noise_seed"):
-            ls_estimate(np.ones(shape), np.ones(shape), noise_seed, CFG)
+            ls_estimate(np.ones(shape), noise_seed, CFG)
 
     @settings(max_examples=20, deadline=None)
     @given(st.lists(components, min_size=1, max_size=5))
     def test_accepts_every_derived_seed(self, path):
         seed = derive_seed(*path)
         assert seed_array(seed, "noise_seed") == seed
-        ls_estimate(np.ones((1, 1)), np.ones((1, 1)), seed, CFG)
+        ls_estimate(np.ones((1, 1)), seed, CFG)
 
 
 @st.composite
@@ -288,9 +319,7 @@ SEEDED_DRAWS = {
     "sample_channel": lambda seed: sample_channel(
         ChannelModel(), ToneGrid.for_band(2), 1, seed
     ),
-    "ls_estimate": lambda seed: ls_estimate(
-        np.ones(np.shape(seed) + (1, 1)), np.ones(np.shape(seed) + (1, 1)), seed, CFG
-    ),
+    "ls_estimate": lambda seed: ls_estimate(np.ones(np.shape(seed) + (1, 1)), seed, CFG),
 }
 
 
