@@ -337,10 +337,29 @@ def path_loss(model: ChannelModel, distance: float) -> float:
     return loss
 
 
+def check_steering(model: ChannelModel, grid: ToneGrid) -> None:
+    """Reject a delay spread whose steering phase 2 pi f tau, as computed,
+    is not finite on `grid`.
+
+    The largest phase is that of the top tone and the last tap, which sits
+    at the delay spread (a one-tap channel has only the zero delay).
+    """
+    top_tone = grid.f0 + grid.delta_f * (grid.n_tones - 1)
+    last_delay = model.delay_spread if model.tap_count > 1 else 0.0
+    if not math.isfinite(2.0 * math.pi * (top_tone * last_delay)):
+        raise ValueError(
+            f"delay_spread: the steering phase 2*pi*f*tau of the top tone "
+            f"f = {top_tone:g} Hz at tau = delay_spread = {last_delay:g} s "
+            "is not finite"
+        )
+
+
 @functools.lru_cache(maxsize=64)
 def _tap_response(model: ChannelModel, grid: ToneGrid) -> tuple[np.ndarray, np.ndarray]:
     """Read-only tap amplitudes sqrt(p_l), shape (L, 1), and steering
-    matrix exp(-j 2 pi f_n tau_l), shape (N, L), of a channel model."""
+    matrix exp(-j 2 pi f_n tau_l), shape (N, L), of a channel model on a
+    grid passing `check_steering`."""
+    check_steering(model, grid)
     amplitudes = np.sqrt(model.tap_powers())[:, None]
     steering = np.exp(-2j * np.pi * np.outer(grid.frequencies, model.tap_delays()))
     amplitudes.flags.writeable = False

@@ -13,6 +13,7 @@ the output.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -21,6 +22,7 @@ from .channel import (
     CHANNEL_KINDS,
     ChannelModel,
     ChannelRealization,
+    check_steering,
     derive_seed,
     path_loss,
     sample_channel,
@@ -137,16 +139,22 @@ class ExperimentConfig:
                 problems.append(f"{name}: must be positive and finite")
         if 0 < self.f0 < np.inf and 0 < self.band_limit < np.inf:
             # A count beyond the array limit fails the block check above and
-            # may not even convert to a float.
-            multi = {n for n in self.tone_counts if 1 < n <= _MAX_ARRAY_BYTES}
-            try:
-                for n_tones in sorted(multi):
-                    check_comb(self.grid_for(n_tones))
-            except ValueError as exc:  # only check_comb names f0/band_limit
-                message = str(exc)
-                if "f0/band_limit" not in message:
-                    message = f"band_limit: {message}"
-                problems.append(message)
+            # may not even convert to a float.  check_comb passes any one-tone
+            # comb, so both checks can run over every count.
+            counts = {n for n in self.tone_counts if 1 <= n <= _MAX_ARRAY_BYTES}
+            steering = functools.partial(check_steering, self.channel_model)
+            for check in (check_comb, steering):
+                try:
+                    for n_tones in sorted(counts):
+                        check(self.grid_for(n_tones))
+                except ValueError as exc:
+                    # Each check names its keys; grid_for's errors, which
+                    # both loops meet alike, come from band_limit.
+                    message = str(exc)
+                    if not message.startswith(("f0/band_limit:", "delay_spread:")):
+                        message = f"band_limit: {message}"
+                    if message not in problems:
+                        problems.append(message)
         if problems:
             raise ValueError("invalid experiment config: " + "; ".join(problems))
 

@@ -8,6 +8,7 @@ from wptsim.channel import (
     ChannelRealization,
     channel_from_json,
     channel_to_json,
+    check_steering,
     derive_seed,
     load_channel,
     load_channel_csv,
@@ -166,6 +167,42 @@ class TestSampling:
             corr[spread] = abs(acc) / draws
         assert corr[10e-9] > 0.9
         assert corr[400e-9] < corr[10e-9] - 0.3
+
+
+class TestSteeringPhase:
+    @staticmethod
+    def _phases_finite(model, grid):
+        with np.errstate(over="ignore"):
+            phase = 2.0 * np.pi * np.outer(grid.frequencies, model.tap_delays())
+        return bool(np.isfinite(phase).all())
+
+    @pytest.mark.parametrize("n_tones", [1, 2, 8])
+    @pytest.mark.parametrize("n_taps", [2, 3, 8])
+    def test_rule_matches_the_computed_phases_at_the_edge(self, n_tones, n_taps):
+        grid = ToneGrid.for_band(n_tones)
+        top = grid.frequencies[-1]
+        spread = np.finfo(float).max / (2.0 * np.pi) / top
+        for _ in range(3):
+            spread = np.nextafter(spread, 0.0)
+        for _ in range(7):
+            model = ChannelModel(n_taps=n_taps, delay_spread=float(spread))
+            if self._phases_finite(model, grid):
+                check_steering(model, grid)
+                assert np.isfinite(sample_channel(model, grid, 2, seed=1).h).all()
+            else:
+                with pytest.raises(ValueError, match="^delay_spread: "):
+                    check_steering(model, grid)
+                with pytest.raises(ValueError, match="^delay_spread: "):
+                    sample_channel(model, grid, 2, seed=1)
+            spread = np.nextafter(spread, np.inf)
+
+    def test_one_tap_has_no_phase_to_overflow(self):
+        grid = ToneGrid.for_band(8)
+        for model in (
+            ChannelModel(kind="frequency_flat", delay_spread=1e300),
+            ChannelModel(n_taps=1, delay_spread=1e300),
+        ):
+            assert np.isfinite(sample_channel(model, grid, 2, seed=1).h).all()
 
 
 class TestSeedDerivation:

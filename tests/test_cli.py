@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wptsim import cli
+from wptsim import cli, harness
 from wptsim.channel import (
     CHANNEL_FIELDS,
     ChannelModel,
@@ -422,6 +422,47 @@ class TestOverflowingSettings:
         assert key in captured.err and "pilot_amplitude" in captured.err
         assert captured.err.count("\n") == 1
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            ("csi_enabled = true\nquant_bits = 1\n", "quant_bits must be from 2 to 1023"),
+            ("csi_enabled = true\nquant_bits = 1024\n", "quant_bits must be from 2 to 1023"),
+            ("delay_spread = 1e300\n", "invalid experiment config: delay_spread: "),
+        ],
+        ids=["one-bit", "bits-overflow", "steering-phase-overflow"],
+    )
+    def test_rejected_before_the_first_cell(
+        self, tmp_path, capsys, monkeypatch, lines, message
+    ):
+        def first_cell(*args):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(harness, "_zdc_ensemble", first_cell)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("realizations = 2\ntones = 1,8\n" + lines)
+        assert cli.main(["sweep", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: " + message)
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            "csi_enabled = true\nquant_bits = 1023\n",
+            "delay_spread = 1e298\n",
+            "channel_kind = frequency_flat\ndelay_spread = 1e300\n",
+            "n_taps = 1\ndelay_spread = 1e300\n",
+        ],
+    )
+    def test_edges_of_those_ranges_run(self, tmp_path, capsys, lines):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("realizations = 2\ntones = 1,8\n" + lines)
+        assert cli.main(["sweep", "--config", str(cfg)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.count("\n") == 1 + 2 * 3
 
     def test_path_loss_checked_before_any_realization(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
