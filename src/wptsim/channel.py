@@ -1,10 +1,10 @@
 """MISO fading channels: power-law path loss and seeded frequency responses.
 
-Two small-scale models are provided.  `tapped_delay` builds the response
-from L taps at fixed delays with an exponential power-delay profile, which
-makes tones decorrelate as the delay spread grows while each tone stays
-CN(0, 1).  `frequency_flat` is its one-tap case: a single tap at zero delay,
-so one CN(0, 1) coefficient per antenna is shared by every tone.
+One small-scale model: a tapped-delay line of `n_taps` taps at fixed delays
+with an exponential power-delay profile, which makes tones decorrelate as
+the delay spread grows while each tone stays CN(0, 1).  `n_taps = 1` is the
+frequency-flat channel: a single tap at zero delay, so one CN(0, 1)
+coefficient per antenna is shared by every tone.
 
 Sampling is deterministic: a realization is a pure function of the model,
 grid, antenna count, and an integer seed.  Independent seeds for large
@@ -21,16 +21,13 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import ToneGrid, csv_text, entries_from_json, entries_to_json
-from .signals import frozen_complex, positive_finite, read_csv_entries, read_field
-
-FREQUENCY_FLAT = "frequency_flat"
-TAPPED_DELAY = "tapped_delay"
-CHANNEL_KINDS = (FREQUENCY_FLAT, TAPPED_DELAY)
+from .signals import ToneGrid, csv_text, entries_from_json, entries_to_json, read_field
+from .signals import frozen_complex, integer_at_least, positive_finite, read_csv_entries
 
 DEFAULT_PATH_LOSS_REF = 263.0
 DEFAULT_PATH_LOSS_EXPONENT = 1.55
@@ -62,9 +59,9 @@ def derive_seed(master_seed: int, *path: int) -> int:
     """
     words = []
     for e in (master_seed, *path):
-        e = int(e)
+        e = operator.index(e) if isinstance(e, (int, np.integer)) else -1
         if e < 0:
-            raise ValueError("seed path components must be non-negative")
+            raise ValueError("seed path components must be non-negative integers")
         words.append(e & _MASK32)
         e >>= 32
         while e:
@@ -247,7 +244,6 @@ class ChannelModel:
     desk-scale operating point.
     """
 
-    kind: str = TAPPED_DELAY
     n_taps: int = 8
     delay_spread: float = 150e-9
     pdp_decay: float = 5e6
@@ -255,10 +251,7 @@ class ChannelModel:
     path_loss_exponent: float = DEFAULT_PATH_LOSS_EXPONENT
 
     def __post_init__(self) -> None:
-        if self.kind not in CHANNEL_KINDS:
-            raise ValueError(f"kind must be one of {CHANNEL_KINDS}")
-        if self.n_taps < 1:
-            raise ValueError("n_taps must be >= 1")
+        integer_at_least(1, n_taps=self.n_taps)
         for name in ("delay_spread", "pdp_decay"):
             if not 0 <= getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be >= 0 and finite")
@@ -267,16 +260,9 @@ class ChannelModel:
             path_loss_exponent=self.path_loss_exponent,
         )
 
-    @property
-    def tap_count(self) -> int:
-        """Taps drawn per antenna: `n_taps`, or one for a frequency-flat
-        channel."""
-        return 1 if self.kind == FREQUENCY_FLAT else self.n_taps
-
     def tap_delays(self) -> np.ndarray:
-        """Tap delays in seconds, uniformly spaced over the delay spread; a
-        frequency-flat channel is one tap at zero delay."""
-        return np.linspace(0.0, self.delay_spread, self.tap_count)
+        """Tap delays in seconds, uniformly spaced over the delay spread."""
+        return np.linspace(0.0, self.delay_spread, self.n_taps)
 
     def tap_powers(self) -> np.ndarray:
         """Exponential power-delay profile normalized to unit total power."""
@@ -298,8 +284,7 @@ class ChannelRealization:
 
     def __post_init__(self) -> None:
         h = frozen_complex(self.h, "h", ("n_tones", "m_antennas"))
-        if h.shape[-2] < 1 or h.shape[-1] < 1:
-            raise ValueError("h must have at least one tone and one antenna")
+        integer_at_least(1, n_tones=h.shape[-2], m_antennas=h.shape[-1])
         positive_finite(path_loss=self.path_loss, distance=self.distance)
         object.__setattr__(self, "h", h)
 
@@ -345,7 +330,7 @@ def check_steering(model: ChannelModel, grid: ToneGrid) -> None:
     at the delay spread (a one-tap channel has only the zero delay).
     """
     top_tone = grid.f0 + grid.delta_f * (grid.n_tones - 1)
-    last_delay = model.delay_spread if model.tap_count > 1 else 0.0
+    last_delay = model.delay_spread if model.n_taps > 1 else 0.0
     if not math.isfinite(2.0 * math.pi * (top_tone * last_delay)):
         raise ValueError(
             f"delay_spread: the steering phase 2*pi*f*tau of the top tone "
@@ -379,11 +364,10 @@ def sample_channel(
     h[n, m] = sum_l alpha[l, m] exp(-j 2 pi f_n tau_l) with
     alpha[l, m] ~ CN(0, p_l) and p the unit-sum exponential profile, so each
     tone is CN(0, 1) and cross-tone correlation shrinks with delay spread.
-    A frequency-flat model has the one tap tau = 0, p = 1: one CN(0, 1) per
-    antenna shared by all tones.
+    A one-tap model has tau = 0, p = 1: one CN(0, 1) per antenna shared by
+    all tones.
     """
-    if m_antennas < 1:
-        raise ValueError("m_antennas must be >= 1")
+    integer_at_least(1, m_antennas=m_antennas)
     amplitudes, steering = _tap_response(model, grid)
     alpha = unit_normals(seed, (amplitudes.shape[0], m_antennas))
     alpha *= amplitudes

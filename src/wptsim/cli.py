@@ -112,7 +112,7 @@ def _run_experiment(args: argparse.Namespace, run, to_csv) -> int:
         raise ValueError(
             f"out of memory: realizations = {cfg.realizations}, tones up to "
             f"{max(cfg.tone_counts)}, antennas up to {max(cfg.antenna_counts)} "
-            f"and n_taps = {cfg.channel_model.tap_count} size the arrays of a "
+            f"and n_taps = {cfg.channel_model.n_taps} size the arrays of a "
             "run; lower them"
         ) from None
     _write_output(text, cfg.out_path)

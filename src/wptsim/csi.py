@@ -20,7 +20,7 @@ import numpy as np
 from .channel import ChannelRealization, seed_array, unit_normals
 from .design import ChannelScaleError, DesignScheme, apply_design, effective_channel
 from .rectifier import RectifierParams, received_tones, z_dc
-from .signals import ToneGrid, frozen_complex, positive_finite
+from .signals import ToneGrid, frozen_complex, integer_at_least, positive_finite
 
 # The quantizer's level count 2.0**bits overflows a float above this.
 MAX_QUANT_BITS = np.finfo(float).maxexp - 1
@@ -28,10 +28,10 @@ MAX_QUANT_BITS = np.finfo(float).maxexp - 1
 
 def check_quant_bits(bits: int) -> None:
     """Reject quantizer bits outside [2, MAX_QUANT_BITS], naming the key."""
-    if not 2 <= bits <= MAX_QUANT_BITS:
+    integer_at_least(2, quant_bits=bits)
+    if bits > MAX_QUANT_BITS:
         raise ValueError(
-            f"quant_bits must be from 2 to {MAX_QUANT_BITS}: one bit rounds every "
-            "component to zero, and 2.0**quant_bits overflows a float above that"
+            f"quant_bits must be at most {MAX_QUANT_BITS}: 2.0**quant_bits overflows"
         )
 
 

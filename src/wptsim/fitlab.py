@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import csv_text, positive_finite, read_csv_entries, read_field
+from .signals import csv_text, integer_at_least, positive_finite, read_csv_entries
+from .signals import read_field
 
 MEASUREMENT_FIELDS = ["scheme", "n_tones", "m_antennas", "distance_m", "p_dc"]
 
@@ -49,10 +50,7 @@ class MeasurementRecord:
     p_dc: float
 
     def __post_init__(self) -> None:
-        if self.n_tones < 1:
-            raise ValueError("n_tones must be >= 1")
-        if self.m_antennas < 1:
-            raise ValueError("m_antennas must be >= 1")
+        integer_at_least(1, n_tones=self.n_tones, m_antennas=self.m_antennas)
         # Named by their measurement-CSV columns.
         if not 0 < self.distance < math.inf:
             raise ValueError("'distance_m' must be positive and finite")

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .channel import (
-    CHANNEL_KINDS,
     ChannelModel,
     ChannelRealization,
     check_steering,
@@ -45,6 +44,7 @@ from .fitlab import (
 )
 from .rectifier import RectifierParams, check_comb, received_tones, z_dc
 from .signals import DEFAULT_BAND_LIMIT, DEFAULT_F0, ToneGrid, csv_text
+from .signals import integer_at_least
 
 SWEEP_FIELDS = ["scheme", "n_tones", "m_antennas", "distance_m", "zdc_mean", "zdc_std"]
 CDF_FIELDS = ["scheme", "n_tones", "m_antennas", "zdc", "cdf"]
@@ -82,6 +82,17 @@ class ExperimentConfig:
     def validate(self) -> None:
         """Raise ValueError naming every offending field."""
         problems: list[str] = []
+
+        def counts(key, values, minimum=1):
+            """`values`, or () and a problem unless each passes the count rule."""
+            try:
+                for value in values:
+                    integer_at_least(minimum, **{key: value})
+            except ValueError as exc:
+                problems.append(str(exc))
+                return ()
+            return values
+
         if not self.schemes:
             problems.append("schemes: must list at least one scheme")
         for s in self.schemes:
@@ -89,17 +100,15 @@ class ExperimentConfig:
                 problems.append(f"schemes: unknown scheme {s!r}")
         if not self.tone_counts:
             problems.append("tones: must list at least one tone count")
-        if any(n < 1 for n in self.tone_counts):
-            problems.append("tones: tone counts must be >= 1")
-        if MRT in self.schemes and any(n > 1 for n in self.tone_counts):
+        tone_counts = counts("tones", self.tone_counts)
+        if MRT in self.schemes and any(n > 1 for n in tone_counts):
             problems.append(
                 "schemes/tones: mrt requires n_tones = 1; run it separately "
                 "from multi-tone sweeps"
             )
         if not self.antenna_counts:
             problems.append("antennas: must list at least one antenna count")
-        if any(m < 1 for m in self.antenna_counts):
-            problems.append("antennas: antenna counts must be >= 1")
+        antenna_counts = counts("antennas", self.antenna_counts)
         if not self.distances:
             problems.append("distances: must list at least one distance")
         if not all(0 < d < np.inf for d in self.distances):
@@ -110,30 +119,27 @@ class ExperimentConfig:
                     path_loss(self.channel_model, distance)
                 except ValueError as exc:
                     problems.append(f"distances: {exc}")
-        if self.realizations < 1:
-            problems.append("realizations: must be >= 1")
-        elif self.realizations * len(set(self.distances)) * 8 > _MAX_ARRAY_BYTES:
+        (realizations,) = counts("realizations", (self.realizations,)) or (1,)
+        if realizations * len(set(self.distances)) * 8 > _MAX_ARRAY_BYTES:
             problems.append(
                 "realizations: one value per realization and distance exceeds "
                 "the largest array numpy can hold"
             )
-        n_max = max(self.tone_counts, default=1)
-        m_max = max(self.antenna_counts, default=1)
-        block = min(self.realizations, BLOCK_SIZE) * n_max * m_max
+        n_max = max(tone_counts, default=1)
+        m_max = max(antenna_counts, default=1)
+        block = min(realizations, BLOCK_SIZE) * n_max * m_max
         if block * 16 > _MAX_ARRAY_BYTES:
             problems.append(
                 "tones/antennas: a block of channels (realizations x tones x "
                 f"antennas, at most {BLOCK_SIZE} realizations) exceeds the "
                 "largest array numpy can hold"
             )
-        taps = self.channel_model.tap_count
-        if taps * max(n_max, m_max) * 16 > _MAX_ARRAY_BYTES:
+        if self.channel_model.n_taps * max(n_max, m_max) * 16 > _MAX_ARRAY_BYTES:
             problems.append(
                 "n_taps: the tap arrays (tones x n_taps, n_taps x antennas) "
                 "exceed the largest array numpy can hold"
             )
-        if self.seed < 0:
-            problems.append("seed: must be non-negative")
+        counts("seed", [self.seed], minimum=0)
         for name in ("power_budget", "beta", "f0", "band_limit"):
             if not 0 < getattr(self, name) < np.inf:
                 problems.append(f"{name}: must be positive and finite")
@@ -141,11 +147,11 @@ class ExperimentConfig:
             # A count beyond the array limit fails the block check above and
             # may not even convert to a float.  check_comb passes any one-tone
             # comb, so both checks can run over every count.
-            counts = {n for n in self.tone_counts if 1 <= n <= _MAX_ARRAY_BYTES}
+            grid_counts = {n for n in tone_counts if n <= _MAX_ARRAY_BYTES}
             steering = functools.partial(check_steering, self.channel_model)
             for check in (check_comb, steering):
                 try:
-                    for n_tones in sorted(counts):
+                    for n_tones in sorted(grid_counts):
                         check(self.grid_for(n_tones))
                 except ValueError as exc:
                     # Each check names its keys; grid_for's errors, which
@@ -463,10 +469,11 @@ def _parse_finite(value: str) -> float:
     return number
 
 
-def _parse_channel_kind(value: str) -> str:
-    if value not in CHANNEL_KINDS:
-        raise ValueError(f"must be one of {CHANNEL_KINDS}")
-    return value
+def _parse_channel_kind(value: str) -> bool:
+    """True for frequency_flat, the one-tap channel; False for tapped_delay."""
+    if value not in ("frequency_flat", "tapped_delay"):
+        raise ValueError("must be one of ('frequency_flat', 'tapped_delay')")
+    return value == "frequency_flat"
 
 
 def _list_of(kind):
@@ -477,8 +484,8 @@ def _list_of(kind):
 
 
 # config key -> (section, field, parser).  A section other than "experiment"
-# names the ExperimentConfig field holding that sub-config; csi "enabled" only
-# switches CSI modelling on.
+# names the ExperimentConfig field holding that sub-config; csi "enabled" and
+# channel_model "one_tap" (frequency_flat sets n_taps = 1) are flags only.
 CONFIG_KEYS = {
     "schemes": ("experiment", "schemes", _list_of(str)),
     "tones": ("experiment", "tone_counts", _list_of(int)),
@@ -491,7 +498,7 @@ CONFIG_KEYS = {
     "f0": ("experiment", "f0", _parse_finite),
     "band_limit": ("experiment", "band_limit", _parse_finite),
     "out": ("experiment", "out_path", str),
-    "channel_kind": ("channel_model", "kind", _parse_channel_kind),
+    "channel_kind": ("channel_model", "one_tap", _parse_channel_kind),
     "n_taps": ("channel_model", "n_taps", int),
     "delay_spread": ("channel_model", "delay_spread", _parse_finite),
     "pdp_decay": ("channel_model", "pdp_decay", _parse_finite),
@@ -526,6 +533,9 @@ def config_from_mapping(values: dict[str, str]) -> ExperimentConfig:
         except ValueError as exc:
             raise ValueError(f"{key}: {exc}") from None
 
+    model_fields = sections["channel_model"]
+    if model_fields.pop("one_tap", False) and model_fields.setdefault("n_taps", 1) != 1:
+        raise ValueError("channel_kind/n_taps: frequency_flat means n_taps = 1")
     cfg = ExperimentConfig()
     updates = sections["experiment"]
     updates["channel_model"] = replace(cfg.channel_model, **sections["channel_model"])

@@ -24,6 +24,7 @@ from .signals import (
     PrecoderWeights,
     ToneGrid,
     frozen_complex,
+    integer_at_least,
     multisine,
     per_realization,
     positive_finite,
@@ -221,10 +222,7 @@ def scaling_law_ca(
     antennas.
     """
     positive_finite(path_loss=path_loss, p=p)
-    if n_tones < 1:
-        raise ValueError("n_tones must be >= 1")
-    if m_antennas < 1:
-        raise ValueError("m_antennas must be >= 1")
+    integer_at_least(1, n_tones=n_tones, m_antennas=m_antennas)
     second = params.k2 * params.r_ant * p * m_antennas / path_loss
     fourth = (
         params.k4 * params.r_ant**2 * p**2 * n_tones * m_antennas**2 / path_loss**2

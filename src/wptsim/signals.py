@@ -10,9 +10,9 @@ m_antennas)``, and any leading axes index independent realizations.  A 2-D
 matrix is the batch of one; per-realization quantities then come back as a
 float instead of an array.  Waveform synthesis and the file codecs take a
 single realization only.  Every CSV table the program reads or writes goes
-through `csv_text` and `read_csv_entries`.  Every setting that must be
-positive and finite is checked by `positive_finite`, and every complex array
-a value class holds is built by `frozen_complex`.
+through `csv_text` and `read_csv_entries`.  `positive_finite` checks every
+positive, finite setting, `integer_at_least` every count, and `frozen_complex`
+builds every complex array a value class holds.
 """
 
 from __future__ import annotations
@@ -37,6 +37,15 @@ def positive_finite(**values) -> None:
     for name, value in values.items():
         if not 0 < value < math.inf:
             raise ValueError(f"{name} must be positive and finite")
+
+
+def integer_at_least(minimum: int, **values) -> None:
+    """Raise ValueError "<name> must be an integer >= <minimum>" for the first
+    value, in the order given, that is a bool, not an integer or below it."""
+    for name, value in values.items():
+        is_int = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+        if not (is_int and value >= minimum):
+            raise ValueError(f"{name} must be an integer >= {minimum}")
 
 
 def frozen_complex(values, name: str, axes: tuple[str, ...]) -> np.ndarray:
@@ -70,8 +79,7 @@ class ToneGrid:
     band_limit: float = DEFAULT_BAND_LIMIT
 
     def __post_init__(self) -> None:
-        if self.n_tones < 1:
-            raise ValueError("n_tones must be >= 1")
+        integer_at_least(1, n_tones=self.n_tones)
         positive_finite(f0=self.f0, delta_f=self.delta_f)
         if not self.band_limit > 0:
             raise ValueError("band_limit must be positive")
@@ -137,8 +145,7 @@ class PrecoderWeights:
                 f"w has {w.shape[-2]} rows but the grid has "
                 f"{self.grid.n_tones} tones"
             )
-        if w.shape[-1] < 1:
-            raise ValueError("w must have at least one antenna column")
+        integer_at_least(1, m_antennas=w.shape[-1])
         object.__setattr__(self, "w", w)
 
     @property

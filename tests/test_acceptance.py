@@ -49,7 +49,7 @@ from wptsim.rectifier import (
 from wptsim.signals import ToneGrid
 
 PARAMS = RectifierParams()
-FLAT_UNIT = ChannelModel(kind="frequency_flat", path_loss_ref=1.0)
+FLAT_UNIT = ChannelModel(n_taps=1, path_loss_ref=1.0)
 
 
 def _report(ok: bool, line: str) -> None:

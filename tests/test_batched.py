@@ -72,7 +72,7 @@ def reference_zdc(cfg, scheme, grid, m, distance, d_index, r):
     code: 1-D norms, per-matrix quantizer step, Python-float scale factors."""
     n, p, model, csi = grid.n_tones, scheme.power_budget, cfg.channel_model, cfg.csi
     rng = make_rng(derive_seed(cfg.seed, 0, n, m, d_index, r))
-    if model.kind == "frequency_flat":
+    if model.n_taps == 1:
         h = np.broadcast_to(complex_normal(rng, (1, m)), (n, m)).copy()
     else:
         alpha = complex_normal(rng, (model.n_taps, m))
@@ -111,16 +111,16 @@ def reference_zdc(cfg, scheme, grid, m, distance, d_index, r):
 
 class TestEnsembleBitIdentity:
     @pytest.mark.parametrize("csi", [None, CSI], ids=["ideal", "csi"])
-    @pytest.mark.parametrize("kind", ["frequency_flat", "tapped_delay"])
+    @pytest.mark.parametrize("n_taps", [1, 8], ids=["one_tap", "eight_taps"])
     @pytest.mark.parametrize("m_antennas", [1, 8])
     @pytest.mark.parametrize("scheme", SCHEME_KINDS)
-    def test_blocks_match_per_realization_chain(self, scheme, m_antennas, kind, csi):
+    def test_blocks_match_per_realization_chain(self, scheme, m_antennas, n_taps, csi):
         # 257 realizations cross the first block boundary.
         assert harness.BLOCK_SIZE < 257
         n_tones = 1 if scheme == "mrt" else 8
         cfg = ExperimentConfig(
             realizations=257, seed=11, power_budget=0.01,
-            channel_model=ChannelModel(kind=kind), csi=csi,
+            channel_model=ChannelModel(n_taps=n_taps), csi=csi,
         )
         batched = harness._zdc_ensemble(cfg, scheme, n_tones, m_antennas, 2.0, 1)
         scalar = scalar_ensemble(cfg, scheme, n_tones, m_antennas, 2.0, 1)

@@ -19,9 +19,8 @@ from wptsim.channel import (
 )
 from wptsim.signals import ToneGrid
 
-FLAT = ChannelModel(kind="frequency_flat", path_loss_ref=1.0, path_loss_exponent=1.55)
+FLAT = ChannelModel(n_taps=1, path_loss_ref=1.0, path_loss_exponent=1.55)
 SELECTIVE = ChannelModel(
-    kind="tapped_delay",
     n_taps=8,
     delay_spread=300e-9,
     pdp_decay=5e6,
@@ -44,9 +43,10 @@ class TestPathLoss:
 
 
 class TestModelValidation:
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="kind"):
-            ChannelModel(kind="rayleigh")
+    def test_kind_is_not_a_field(self):
+        # n_taps is the only tap setting; frequency_flat is n_taps = 1.
+        with pytest.raises(TypeError, match="kind"):
+            ChannelModel(kind="frequency_flat")
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -115,14 +115,14 @@ class TestSampling:
         np.testing.assert_array_equal(ch.h, np.broadcast_to(ch.h[0], ch.h.shape))
 
     def test_single_tap_is_flat(self):
-        model = ChannelModel(kind="tapped_delay", n_taps=1, path_loss_ref=1.0)
+        model = ChannelModel(n_taps=1, path_loss_ref=1.0)
         ch = sample_channel(model, ToneGrid.for_band(8), 2, seed=4)
         np.testing.assert_allclose(
             ch.h, np.broadcast_to(ch.h[0], ch.h.shape), rtol=1e-12
         )
 
     def test_distance_sets_path_loss(self):
-        model = ChannelModel(kind="frequency_flat", path_loss_ref=263.0)
+        model = ChannelModel(n_taps=1, path_loss_ref=263.0)
         ch = sample_channel(model, ToneGrid.for_band(1), 1, seed=5, distance=2.0)
         assert ch.path_loss == pytest.approx(263.0 * 2.0**1.55, rel=1e-12)
         assert ch.distance == 2.0
@@ -153,7 +153,6 @@ class TestSampling:
         corr = {}
         for spread in (10e-9, 400e-9):
             model = ChannelModel(
-                kind="tapped_delay",
                 n_taps=8,
                 delay_spread=spread,
                 pdp_decay=0.0,
@@ -198,11 +197,8 @@ class TestSteeringPhase:
 
     def test_one_tap_has_no_phase_to_overflow(self):
         grid = ToneGrid.for_band(8)
-        for model in (
-            ChannelModel(kind="frequency_flat", delay_spread=1e300),
-            ChannelModel(n_taps=1, delay_spread=1e300),
-        ):
-            assert np.isfinite(sample_channel(model, grid, 2, seed=1).h).all()
+        model = ChannelModel(n_taps=1, delay_spread=1e300)
+        assert np.isfinite(sample_channel(model, grid, 2, seed=1).h).all()
 
 
 class TestSeedDerivation:

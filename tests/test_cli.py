@@ -53,7 +53,7 @@ def _wptsim(*argv, cwd=None):
 
 @pytest.fixture
 def channel_json(tmp_path):
-    model = ChannelModel(kind="frequency_flat", path_loss_ref=1.0)
+    model = ChannelModel(n_taps=1, path_loss_ref=1.0)
     ch = sample_channel(model, ToneGrid.for_band(1), 4, seed=17)
     path = tmp_path / "chan.json"
     save_channel(ch, str(path))
@@ -109,7 +109,7 @@ class TestDesignAndZdc:
         assert value > 0
 
     def test_zdc_reads_csv_channels_too(self, tmp_path, capsys):
-        model = ChannelModel(kind="frequency_flat", path_loss_ref=1.0)
+        model = ChannelModel(n_taps=1, path_loss_ref=1.0)
         ch = sample_channel(model, ToneGrid.for_band(1), 2, seed=3)
         path = tmp_path / "chan.csv"
         save_channel_csv(ch, str(path))
@@ -426,8 +426,8 @@ class TestOverflowingSettings:
     @pytest.mark.parametrize(
         "lines, message",
         [
-            ("csi_enabled = true\nquant_bits = 1\n", "quant_bits must be from 2 to 1023"),
-            ("csi_enabled = true\nquant_bits = 1024\n", "quant_bits must be from 2 to 1023"),
+            ("csi_enabled = true\nquant_bits = 1\n", "quant_bits must be an integer >= 2"),
+            ("csi_enabled = true\nquant_bits = 1024\n", "quant_bits must be at most 1023"),
             ("delay_spread = 1e300\n", "invalid experiment config: delay_spread: "),
         ],
         ids=["one-bit", "bits-overflow", "steering-phase-overflow"],

@@ -25,7 +25,7 @@ from wptsim.rectifier import RectifierParams, received_tones, z_dc
 from wptsim.signals import ToneGrid
 
 PARAMS = RectifierParams()
-FLAT = ChannelModel(kind="frequency_flat", path_loss_ref=1.0)
+FLAT = ChannelModel(n_taps=1, path_loss_ref=1.0)
 
 
 class TestConfig:
@@ -146,11 +146,21 @@ class TestQuantizer:
         h = complex_normal(rng, (3, 3))
         np.testing.assert_allclose(quantize_csi(h, 24), h, atol=1e-6)
 
-    @pytest.mark.parametrize("bits", [0, 1, 1024, 10**6])
-    def test_rejects_bits_outside_the_range_naming_the_key(self, bits):
-        with pytest.raises(ValueError, match="quant_bits must be from 2 to 1023"):
+    @pytest.mark.parametrize(
+        "bits, message",
+        [
+            (0, "quant_bits must be an integer >= 2"),
+            (1, "quant_bits must be an integer >= 2"),
+            (8.0, "quant_bits must be an integer >= 2"),
+            (True, "quant_bits must be an integer >= 2"),
+            (1024, "quant_bits must be at most 1023"),
+            (10**6, "quant_bits must be at most 1023"),
+        ],
+    )
+    def test_rejects_bits_outside_the_range_naming_the_key(self, bits, message):
+        with pytest.raises(ValueError, match=message):
             quantize_csi(np.ones((1, 1), dtype=complex), bits)
-        with pytest.raises(ValueError, match="quant_bits must be from 2 to 1023"):
+        with pytest.raises(ValueError, match=message):
             CsiConfig(quant_bits_per_component=bits)
 
     @settings(max_examples=60, deadline=None)
@@ -279,7 +289,7 @@ def channel_block(model, n_tones, m_antennas, master, count):
     return ChannelRealization(h=h, path_loss=1.0, distance=1.0), grid
 
 
-SELECTIVE = ChannelModel(kind="tapped_delay", path_loss_ref=1.0)
+SELECTIVE = ChannelModel(path_loss_ref=1.0)
 EPS = np.finfo(float).eps
 
 

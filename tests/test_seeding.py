@@ -19,8 +19,6 @@ from hypothesis import strategies as st
 
 import wptsim
 from wptsim.channel import (
-    FREQUENCY_FLAT,
-    TAPPED_DELAY,
     ChannelModel,
     complex_normal,
     derive_seed,
@@ -31,6 +29,7 @@ from wptsim.channel import (
     unit_normals,
 )
 from wptsim.csi import CsiConfig, ls_estimate
+from wptsim.harness import config_from_mapping
 from wptsim.signals import ToneGrid
 
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
@@ -284,13 +283,12 @@ class TestUnitNormals:
 
 class TestOneTapFlat:
     def test_flat_model_is_one_zero_delay_tap(self):
-        flat = ChannelModel(kind=FREQUENCY_FLAT, n_taps=8, delay_spread=1e-6)
+        flat = ChannelModel(n_taps=1, delay_spread=1e-6)
         assert np.array_equal(flat.tap_delays(), [0.0])
         assert np.array_equal(flat.tap_powers(), [1.0])
 
     @settings(max_examples=40, deadline=None)
     @given(
-        n_taps=st.integers(1, 16),
         delay_spread=st.floats(0.0, 2e-6),
         pdp_decay=st.floats(0.0, 1e8),
         n_tones=st.integers(1, 16),
@@ -298,15 +296,17 @@ class TestOneTapFlat:
         seed=seeds,
     )
     def test_flat_equals_single_tap_draw(
-        self, n_taps, delay_spread, pdp_decay, n_tones, m_antennas, seed
+        self, delay_spread, pdp_decay, n_tones, m_antennas, seed
     ):
+        # channel_kind = frequency_flat is parsed as n_taps = 1.
         profile = dict(delay_spread=delay_spread, pdp_decay=pdp_decay)
-        flat = ChannelModel(kind=FREQUENCY_FLAT, n_taps=n_taps, **profile)
-        one_tap = ChannelModel(kind=TAPPED_DELAY, n_taps=1, **profile)
+        flat = config_from_mapping(
+            {"channel_kind": "frequency_flat"}
+            | {key: repr(value) for key, value in profile.items()}
+        ).channel_model
+        assert flat == ChannelModel(n_taps=1, **profile)
         grid = ToneGrid.for_band(n_tones)
         a = sample_channel(flat, grid, m_antennas, seed, distance=2.0)
-        b = sample_channel(one_tap, grid, m_antennas, seed, distance=2.0)
-        assert np.array_equal(a.h, b.h)
         row = complex_normal(make_rng(seed), (1, m_antennas))
         assert np.array_equal(a.h, np.repeat(row, n_tones, axis=0))
 
