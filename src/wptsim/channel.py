@@ -265,8 +265,13 @@ class ChannelModel:
         return np.linspace(0.0, self.delay_spread, self.n_taps)
 
     def tap_powers(self) -> np.ndarray:
-        """Exponential power-delay profile normalized to unit total power."""
-        p = np.exp(-self.pdp_decay * self.tap_delays())
+        """Exponential power-delay profile normalized to unit total power.
+
+        A decay times delay beyond float range is -inf, whose exp is the
+        same 0 as that of any product beyond about 745.
+        """
+        with np.errstate(over="ignore"):
+            p = np.exp(-self.pdp_decay * self.tap_delays())
         return p / p.sum()
 
 

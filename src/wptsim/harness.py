@@ -32,6 +32,7 @@ from .design import (
     DesignScheme,
     MRT,
     SCHEME_KINDS,
+    SMF,
     apply_design,
     effective_channel,
 )
@@ -84,14 +85,15 @@ class ExperimentConfig:
         problems: list[str] = []
 
         def counts(key, values, minimum=1):
-            """`values`, or () and a problem unless each passes the count rule."""
+            """`values` as Python ints, or () and a problem unless each passes
+            the count rule."""
             try:
                 for value in values:
                     integer_at_least(minimum, **{key: value})
             except ValueError as exc:
                 problems.append(str(exc))
                 return ()
-            return values
+            return tuple(map(int, values))
 
         if not self.schemes:
             problems.append("schemes: must list at least one scheme")
@@ -141,6 +143,9 @@ class ExperimentConfig:
             )
         counts("seed", [self.seed], minimum=0)
         for name in ("power_budget", "beta", "f0", "band_limit"):
+            # Only smf reads beta, as DesignScheme states.
+            if name == "beta" and SMF not in self.schemes:
+                continue
             if not 0 < getattr(self, name) < np.inf:
                 problems.append(f"{name}: must be positive and finite")
         if 0 < self.f0 < np.inf and 0 < self.band_limit < np.inf:

@@ -1,6 +1,10 @@
-"""The CI workflow runs the Tier-1 command of ROADMAP.md on pinned versions."""
+"""The CI workflow runs the Tier-1 command of ROADMAP.md and a short run of
+every benchmark workload on pinned versions."""
 
+import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -26,3 +30,45 @@ def test_workflow_parses_with_the_recording_versions():
     assert steps[1]["with"]["python-version"] == "3.11"
     assert 'pip install -e ".[test]" numpy==2.4.6' in steps[2]["run"]
     assert steps[-1]["run"] == tier1_command()
+
+
+def bench_smoke_job():
+    text = WORKFLOW.read_text(encoding="utf-8")
+    return text[text.index("\n  bench-smoke:\n"):]
+
+
+def test_bench_smoke_runs_every_workload():
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    names = [workload["name"] for workload in benchmark["workloads"]]
+    matrix = re.search(r"\n +workload: \[([^]]*)\]\n", bench_smoke_job()).group(1)
+    assert [name.strip() for name in matrix.split(",")] == names
+    command = (
+        "python3 bench/run.py --workload ${{ matrix.workload }} "
+        "--seed 1 --seconds 1 --trace 0"
+    )
+    assert command in bench_smoke_job()
+
+
+@pytest.mark.parametrize(
+    "last_line, passes",
+    [
+        ({"correct": True, "attempted": 9, "failed": 0, "metrics": {}}, True),
+        ({"correct": False, "attempted": 9, "failed": 0, "metrics": {}}, False),
+        ({"correct": True, "attempted": 9, "failed": 1, "metrics": {}}, False),
+        ({"correct": "true", "attempted": 9, "failed": 0, "metrics": {}}, False),
+    ],
+)
+def test_bench_smoke_gate_reads_the_last_line(last_line, passes):
+    gate = re.search(r"python3 -c '([^']*)'", bench_smoke_job()).group(1)
+    proc = subprocess.run(
+        [sys.executable, "-c", gate], input=json.dumps(last_line), text=True
+    )
+    assert (proc.returncode == 0) == passes
+
+
+def test_bench_smoke_parses_with_the_recording_versions():
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load(WORKFLOW.read_text(encoding="utf-8"))
+    tier1, smoke = workflow["jobs"]["tier1"], workflow["jobs"]["bench-smoke"]
+    assert smoke["steps"][:3] == tier1["steps"][:3]
+    assert smoke["steps"][-1]["shell"] == "bash"

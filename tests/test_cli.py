@@ -292,6 +292,72 @@ class TestSweepAndCdf:
         assert captured.out == ""
 
 
+class TestChannelKind:
+    """`channel_kind` is input only: frequency_flat is n_taps = 1."""
+
+    BASE = "realizations = 5\ntones = 1,4\nantennas = 1,2\nseed = 3\n"
+    CSI = "csi_enabled = true\nnoise_variance = 1e-3\n"
+
+    def _sweep(self, tmp_path, capsys, text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(self.BASE + text)
+        code = cli.main(["sweep", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize("csi", ["", CSI], ids=["ideal", "csi"])
+    @pytest.mark.parametrize(
+        "profile", ["", "delay_spread = 1e-6\npdp_decay = 1e300\n"]
+    )
+    def test_frequency_flat_is_one_tap(self, tmp_path, capsys, csi, profile):
+        flat = self._sweep(
+            tmp_path, capsys, "channel_kind = frequency_flat\n" + csi + profile
+        )
+        one_tap = self._sweep(tmp_path, capsys, "n_taps = 1\n" + csi + profile)
+        both = self._sweep(
+            tmp_path, capsys, "channel_kind = frequency_flat\nn_taps = 1\n" + csi + profile
+        )
+        assert flat[0] == 0 and flat[2] == ""
+        assert flat == one_tap == both
+
+    def test_tapped_delay_changes_nothing(self, tmp_path, capsys):
+        default = self._sweep(tmp_path, capsys, "n_taps = 3\n")
+        tapped = self._sweep(
+            tmp_path, capsys, "channel_kind = tapped_delay\nn_taps = 3\n"
+        )
+        assert default[0] == 0 and default == tapped
+
+    def test_other_n_taps_beside_frequency_flat_rejected(self, tmp_path, capsys):
+        code, out, err = self._sweep(
+            tmp_path, capsys, "channel_kind = frequency_flat\nn_taps = 4\n"
+        )
+        assert code == 1 and out == ""
+        assert err == "error: channel_kind/n_taps: frequency_flat means n_taps = 1\n"
+
+
+class TestBetaRule:
+    """Only smf reads beta, so only an smf run checks it."""
+
+    @pytest.mark.parametrize("scheme", ["mrt", "cw", "up"])
+    def test_zero_beta_runs_without_smf(self, capsys, scheme):
+        argv = ["sweep", "--scheme", scheme, "--tones", "1", "--beta", "0",
+                "--realizations", "2"]
+        assert cli.main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and captured.out.count("\n") == 1 + 3
+
+    @pytest.mark.parametrize("schemes", ["smf", "mrt,smf"])
+    def test_zero_beta_rejected_with_smf(self, capsys, schemes):
+        argv = ["sweep", "--scheme", schemes, "--tones", "1", "--beta", "0",
+                "--realizations", "2"]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: invalid experiment config: beta: must be positive and finite\n"
+        )
+
+
 class TestOversizedRuns:
     @pytest.mark.parametrize("command", ["sweep", "cdf"])
     @pytest.mark.parametrize(
@@ -454,6 +520,8 @@ class TestOverflowingSettings:
             "delay_spread = 1e298\n",
             "channel_kind = frequency_flat\ndelay_spread = 1e300\n",
             "n_taps = 1\ndelay_spread = 1e300\n",
+            # pdp_decay * delay_spread overflows to -inf, and exp(-inf) = 0.
+            "delay_spread = 1e10\npdp_decay = 1e300\n",
         ],
     )
     def test_edges_of_those_ranges_run(self, tmp_path, capsys, lines):
