@@ -59,7 +59,10 @@ def derive_seed(master_seed: int, *path: int) -> int:
     """
     words = []
     for e in (master_seed, *path):
-        e = operator.index(e) if isinstance(e, (int, np.integer)) else -1
+        try:
+            e = operator.index(e)
+        except TypeError:
+            e = -1  # not an integer: rejected below
         if e < 0:
             raise ValueError("seed path components must be non-negative integers")
         words.append(e & _MASK32)
@@ -289,7 +292,8 @@ class ChannelRealization:
 
     def __post_init__(self) -> None:
         h = frozen_complex(self.h, "h", ("n_tones", "m_antennas"))
-        integer_at_least(1, n_tones=h.shape[-2], m_antennas=h.shape[-1])
+        if h.shape[-2] < 1 or h.shape[-1] < 1:
+            raise ValueError("h must have at least one tone and one antenna")
         positive_finite(path_loss=self.path_loss, distance=self.distance)
         object.__setattr__(self, "h", h)
 

@@ -145,7 +145,8 @@ class PrecoderWeights:
                 f"w has {w.shape[-2]} rows but the grid has "
                 f"{self.grid.n_tones} tones"
             )
-        integer_at_least(1, m_antennas=w.shape[-1])
+        if w.shape[-1] < 1:
+            raise ValueError("w must have at least one antenna column")
         object.__setattr__(self, "w", w)
 
     @property
@@ -255,9 +256,10 @@ def entries_to_json(matrix: np.ndarray) -> list[dict]:
 def entries_from_json(entries, n_tones=None, m_antennas=None) -> np.ndarray:
     """Inverse of `entries_to_json`; a dimension given as None is 1 + its largest index.
 
-    Indices must be integers in range, values finite, and there must be
-    exactly one entry per (tone, antenna).  The count is checked before the
-    matrix is allocated, so no declared dimension can exhaust memory.
+    Dimensions must pass `integer_at_least(1, ...)`, indices be integers in
+    range, values finite, and there must be exactly one entry per (tone,
+    antenna).  The entry count is checked before the matrix is allocated, so
+    no declared dimension can exhaust memory.
     """
     if not isinstance(entries, list) or not entries:
         raise ValueError("'entries' must be a non-empty list")
@@ -273,6 +275,7 @@ def entries_from_json(entries, n_tones=None, m_antennas=None) -> np.ndarray:
         parsed.append((n, m, value))
     n_tones = 1 + max(p[0] for p in parsed) if n_tones is None else n_tones
     m_antennas = 1 + max(p[1] for p in parsed) if m_antennas is None else m_antennas
+    integer_at_least(1, n_tones=n_tones, m_antennas=m_antennas)
     if len(parsed) != n_tones * m_antennas:
         problem = "missing" if len(parsed) < n_tones * m_antennas else "extra"
         shape = f"{n_tones} tones x {m_antennas} antennas"

@@ -160,6 +160,11 @@ _BAD_CHANNEL_FILES = {
         {"tone": 0, "antenna": 1, "real": 2.0, "imag": 0.0},
     ]), "'real'"),
     "nokey.json": (json.dumps({"m_antennas": 1, "entries": []}), "'n_tones'"),
+    # Two entries fill -1 x -2 "cells"; the counts are checked first.
+    "negdims.json": (_channel_json(n_tones=-1, m_antennas=-2),
+                     "n_tones must be an integer >= 1"),
+    "zerodims.json": (_channel_json(n_tones=1, m_antennas=0),
+                      "m_antennas must be an integer >= 1"),
     "list.json": ("[1, 2]", "'n_tones'"),
     "short.csv": (_CSV_HEADER + "0,0,1\n", "entries[0]: 'imag' is missing"),
     "frac.csv": (_CSV_HEADER + "0.5,0,1,0,263,2\n", "'tone'"),
