@@ -141,7 +141,7 @@ class ExperimentConfig:
                 "n_taps: the tap arrays (tones x n_taps, n_taps x antennas) "
                 "exceed the largest array numpy can hold"
             )
-        counts("seed", [self.seed], minimum=0)
+        counts("seed", (self.seed,), minimum=0)
         for name in ("power_budget", "beta", "f0", "band_limit"):
             # Only smf reads beta, as DesignScheme states.
             if name == "beta" and SMF not in self.schemes:
