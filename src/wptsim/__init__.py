@@ -52,7 +52,6 @@ from .rectifier import (
     received_signal,
     received_tones,
     scaling_law_ca,
-    scaling_law_cw,
     z_dc,
     z_dc_time_oracle,
 )
@@ -108,7 +107,6 @@ __all__ = [
     "run_sweep",
     "sample_channel",
     "scaling_law_ca",
-    "scaling_law_cw",
     "synthesize_tx",
     "tx_power",
     "z_dc",

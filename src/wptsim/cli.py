@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 from .channel import load_channel
@@ -102,10 +103,25 @@ def _cmd_zdc(args: argparse.Namespace) -> int:
     return _EXIT_OK
 
 
+def _check_out(out_path: str | None) -> None:
+    """Reject an `out` that cannot be written before any work runs; the file
+    itself is neither created nor truncated here."""
+    if out_path is None:
+        return
+    parent = os.path.dirname(out_path) or "."
+    if os.path.isdir(out_path):
+        raise ValueError(f"out: {out_path!r} is a directory")
+    if not os.path.isdir(parent):
+        raise ValueError(f"out: directory {parent!r} does not exist")
+    if not os.access(parent, os.W_OK | os.X_OK):
+        raise ValueError(f"out: directory {parent!r} is not writable")
+
+
 def _run_experiment(args: argparse.Namespace, run, to_csv) -> int:
     """Run a sweep or CDF and write its CSV; running out of memory is an
     invalid config naming the keys that size the arrays."""
     cfg = _experiment_config(args)
+    _check_out(cfg.out_path)
     try:
         text = to_csv(run(cfg))
     except MemoryError:

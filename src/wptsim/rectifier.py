@@ -1,4 +1,4 @@
-"""Nonlinear rectifier output model and its closed-form scaling laws.
+"""Nonlinear rectifier output model and its exact ensemble-mean law.
 
 The harvested DC quantity is a truncated polynomial of the received signal:
 a second-order term proportional to the time-average of y(t)^2 and a
@@ -11,6 +11,10 @@ as an independent check; `check_comb` states that limit.
 Tone amplitudes are array-first: ``a`` has shape ``(..., n_tones)``, and the
 moments and `z_dc` return one value per leading index, or a float for a
 single reception.  The time oracle takes a single reception only.
+
+`scaling_law_ca` is the exact mean of `z_dc` over i.i.d. Rayleigh fading
+across antennas for SMF on a one-tap channel, MRT, and CW (N = M = 1); it is
+the oracle of the Monte-Carlo sweep means.
 """
 
 from __future__ import annotations
@@ -196,18 +200,6 @@ def z_dc_time_oracle(
     return params.k2 * params.r_ant * m2 + params.k4 * params.r_ant**2 * m4
 
 
-def scaling_law_cw(params: RectifierParams, path_loss: float, p: float) -> float:
-    """Expected CW output over unit-variance fading.
-
-    k2 R p / L + 3 k4 R^2 p^2 / L^2; the factor 3 is (3/2) times the
-    fourth moment (= 2) of a unit-variance Rayleigh channel amplitude.
-    """
-    positive_finite(path_loss=path_loss, p=p)
-    second = params.k2 * params.r_ant * p / path_loss
-    fourth = 3.0 * params.k4 * params.r_ant**2 * p**2 / path_loss**2
-    return second + fourth
-
-
 def scaling_law_ca(
     params: RectifierParams,
     path_loss: float,
@@ -215,16 +207,24 @@ def scaling_law_ca(
     n_tones: int,
     m_antennas: int,
 ) -> float:
-    """Channel-adaptive multisine scaling: k2 R p M / L + k4 R^2 p^2 N M^2 / L^2.
+    """Exact ensemble mean of `z_dc` over i.i.d. CN(0, 1) antenna fading:
 
-    A trend law, not an exact mean: the second-order term grows linearly in
-    antennas, the fourth-order term linearly in tones and quadratically in
-    antennas.
+        k2 R p M / L + (3/8) k4 R^2 (2 p / (N L))^2 Q(N) M (M + 1),
+
+    where Q(N) = (2 N^3 + N) / 3 counts the tone quadruples with
+    n0 + n1 = n2 + n3, M (M + 1) is E ||h||^4 over M antennas, and the
+    budget p is spread evenly over N tones.  It is exact for SMF with any
+    beta on a one-tap channel, for MRT (N = 1) on any tapped-delay channel,
+    and for CW on any channel at N = M = 1, because CW rides the (tone 0,
+    antenna 0) sub-channel; there it is k2 R p / L + 3 k4 R^2 p^2 / L^2.
+    It does not cover UP, or multi-tone SMF on a tapped-delay channel.
     """
     positive_finite(path_loss=path_loss, p=p)
     integer_at_least(1, n_tones=n_tones, m_antennas=m_antennas)
-    second = params.k2 * params.r_ant * p * m_antennas / path_loss
+    n, m = int(n_tones), int(m_antennas)  # numpy counts such as uint8 wrap
+    second = params.k2 * params.r_ant * p * m / path_loss
     fourth = (
-        params.k4 * params.r_ant**2 * p**2 * n_tones * m_antennas**2 / path_loss**2
+        0.375 * params.k4 * params.r_ant**2 * (2.0 * p / (n * path_loss)) ** 2
+        * ((2 * n**3 + n) // 3) * m * (m + 1)
     )
     return second + fourth

@@ -104,6 +104,7 @@ class ToneGrid:
     ) -> "ToneGrid":
         """Grid whose tones evenly fill the band; the spacing steps down one ulp
         where the occupied bandwidth would round above `band_limit`."""
+        integer_at_least(1, n_tones=n_tones)
         delta_f = band_limit / (n_tones - 1) if n_tones > 1 else band_limit
         if (n_tones - 1) * delta_f > band_limit:
             delta_f = math.nextafter(delta_f, 0.0)

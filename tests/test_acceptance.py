@@ -42,7 +42,7 @@ from wptsim.rectifier import (
     moment2,
     moment4,
     received_tones,
-    scaling_law_cw,
+    scaling_law_ca,
     z_dc,
     z_dc_time_oracle,
 )
@@ -110,7 +110,7 @@ def test_criterion_02_in_phase_fourth_moment_law():
 
 
 def test_criterion_03_cw_fading_law_monte_carlo():
-    # Mean CW output over 1e5 Rayleigh draws vs the closed-form law
+    # Mean CW output over 1e5 Rayleigh draws vs the mean law at N = M = 1,
     # k2 R P / L + 3 k4 R^2 P^2 / L^2, within 5%.
     start = time.perf_counter()
     grid = ToneGrid.for_band(1)
@@ -125,7 +125,7 @@ def test_criterion_03_cw_fading_law_monte_carlo():
             h=h[i : i + 1, np.newaxis], path_loss=1.0, distance=1.0
         )
         total += z_dc(received_tones(weights, channel), PARAMS)
-    ratio = (total / draws) / scaling_law_cw(PARAMS, 1.0, p)
+    ratio = (total / draws) / scaling_law_ca(PARAMS, 1.0, p, 1, 1)
     elapsed = time.perf_counter() - start
     ok = 0.95 <= ratio <= 1.05 and elapsed < 30.0
     _report(

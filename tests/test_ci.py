@@ -1,6 +1,7 @@
-"""The CI workflow runs the Tier-1 command of ROADMAP.md and a short run of
-every benchmark workload on pinned versions."""
+"""The CI workflow runs the console script, the Tier-1 command of ROADMAP.md
+and a short run of every benchmark workload on pinned versions."""
 
+import importlib
 import json
 import re
 import subprocess
@@ -8,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from wptsim import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
@@ -30,6 +33,23 @@ def test_workflow_parses_with_the_recording_versions():
     assert steps[1]["with"]["python-version"] == "3.11"
     assert 'pip install -e ".[test]" numpy==2.4.6' in steps[2]["run"]
     assert steps[-1]["run"] == tier1_command()
+
+
+def test_tier1_job_runs_the_console_script_before_the_tests():
+    # Tests run `python -m wptsim.cli`; this step runs the installed script.
+    job = WORKFLOW.read_text(encoding="utf-8").split("\n  bench-smoke:\n")[0]
+    step = "      - name: Console script\n        run: wptsim paper-check\n"
+    assert job.index("      - name: Install\n") < job.index(step)
+    assert job.index(step) < job.index("      - name: Tier-1 tests\n")
+
+
+def test_console_script_resolves_to_cli_main():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["wptsim"]
+    assert target == "wptsim.cli:main"
+    module, _, name = target.partition(":")
+    assert getattr(importlib.import_module(module), name) is cli.main
 
 
 def bench_smoke_job():

@@ -297,6 +297,42 @@ class TestSweepAndCdf:
         assert captured.out == ""
 
 
+class TestUnusableOut:
+    @pytest.mark.parametrize("command", ["sweep", "cdf"])
+    @pytest.mark.parametrize(
+        "out, message",
+        [
+            ("missing/x.csv", "out: directory '{tmp}/missing' does not exist"),
+            (".", "out: '{tmp}' is a directory"),
+        ],
+        ids=["missing-directory", "directory"],
+    )
+    def test_rejected_before_the_run(
+        self, tmp_path, capsys, monkeypatch, command, out, message
+    ):
+        def run(cfg):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli, f"run_{command}", run)
+        argv = [command, "--tones", "1,8", "--antennas", "1,4",
+                "--out", str(tmp_path / out)]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: " + message.format(tmp=tmp_path) + "\n"
+        assert captured.out == ""
+        assert not (tmp_path / "missing").exists()
+
+    def test_existing_file_is_not_truncated_on_a_rejected_config(
+        self, tmp_path, capsys
+    ):
+        out = tmp_path / "sweep.csv"
+        out.write_text("kept\n")
+        argv = ["sweep", "--scheme", "bogus", "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert "bogus" in capsys.readouterr().err
+        assert out.read_text() == "kept\n"
+
+
 class TestChannelKind:
     """`channel_kind` is input only: frequency_flat is n_taps = 1."""
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wptsim.channel import ChannelModel
+from wptsim.channel import ChannelModel, path_loss
 from wptsim.csi import CsiConfig
 from wptsim.harness import (
     CDF_FIELDS,
@@ -29,7 +29,7 @@ from wptsim.harness import (
     run_sweep,
     sweep_to_csv,
 )
-from wptsim.rectifier import ReceivedTones
+from wptsim.rectifier import ReceivedTones, scaling_law_ca
 
 # Small but non-degenerate: every structural property below is independent
 # of ensemble size.
@@ -199,6 +199,48 @@ class TestSweep:
             rn.zdc_mean != rc.zdc_mean
             for rn, rc in zip(rows_noisy, rows_clean)
         )
+
+
+class TestMeanLaw:
+    """Sweep means against the exact ensemble mean `scaling_law_ca`, within
+    4.5 standard errors, on a grid where the law is exact: smf on a one-tap
+    channel, and mrt and cw (the N = M = 1 law) on the default tapped-delay
+    channel.  At 1 W the fourth-order term dominates, at 1 mW the second."""
+
+    # Fixed before the first run; never re-pick it to pass.
+    SEED = 2
+
+    @pytest.mark.parametrize("power_budget", [1.0, 1e-3])
+    def test_sweep_means_match_the_law(self, power_budget):
+        smf = ExperimentConfig(
+            schemes=("smf",),
+            tone_counts=(1, 4, 8),
+            antenna_counts=(1, 2, 4),
+            distances=(1.0,),
+            realizations=2000,
+            seed=self.SEED,
+            power_budget=power_budget,
+            channel_model=ChannelModel(n_taps=1),
+        )
+        beam = replace(
+            smf,
+            schemes=("cw", "mrt"),
+            tone_counts=(1,),
+            antenna_counts=(1, 2, 4, 8),
+            channel_model=ChannelModel(),
+        )
+        scores = {}
+        for cfg in (smf, beam):
+            loss = path_loss(cfg.channel_model, 1.0)
+            for row in run_sweep(cfg):
+                n, m = (1, 1) if row.scheme == "cw" else (row.n_tones, row.m_antennas)
+                law = scaling_law_ca(cfg.rectifier, loss, power_budget, n, m)
+                sem = row.zdc_std / math.sqrt(cfg.realizations)
+                scores[row.scheme, row.n_tones, row.m_antennas] = (
+                    (row.zdc_mean - law) / sem
+                )
+        assert len(scores) == 17
+        assert max(map(abs, scores.values())) <= 4.5, scores
 
 
 class TestCdf:

@@ -1,4 +1,4 @@
-"""Rectifier moments against a brute-force oracle, plus the scaling laws."""
+"""Rectifier moments against a brute-force oracle, plus the exact mean law."""
 
 import time
 
@@ -16,7 +16,6 @@ from wptsim.rectifier import (
     moment4,
     received_tones,
     scaling_law_ca,
-    scaling_law_cw,
     z_dc,
     z_dc_time_oracle,
 )
@@ -245,34 +244,37 @@ class TestTimeOracle:
 
 
 class TestScalingLaws:
-    def test_cw_worked_value(self):
-        assert scaling_law_cw(PARAMS, 1.0, 0.001) == pytest.approx(
+    def test_worked_values(self):
+        assert scaling_law_ca(PARAMS, 1.0, 0.001, 1, 1) == pytest.approx(
             0.00304175, rel=1e-9
         )
-
-    def test_ca_worked_value(self):
         assert scaling_law_ca(PARAMS, 1.0, 0.001, 8, 4) == pytest.approx(
-            0.123208, rel=1e-6
+            0.1550365625, rel=1e-9
         )
 
-    def test_ca_reduces_toward_cw_structure(self):
-        # N = M = 1 keeps both terms but drops the Rayleigh fourth-moment
-        # factor 3 that only applies to the fading-averaged CW law.
-        ca = scaling_law_ca(PARAMS, 2.0, 0.01, 1, 1)
-        expected = PARAMS.k2 * 50 * 0.01 / 2 + PARAMS.k4 * 2500 * 1e-4 / 4
-        assert ca == pytest.approx(expected, rel=1e-12)
+    @pytest.mark.parametrize("path_loss, p", [(1.0, 1e-3), (263.0, 1.0), (2.0, 0.01)])
+    def test_single_tone_single_antenna_is_the_cw_fading_law(self, path_loss, p):
+        # k2 R p / L + 3 k4 R^2 p^2 / L^2; the factor 3 is (3/2) times the
+        # fourth moment (= 2) of a unit-variance Rayleigh channel amplitude.
+        cw = (
+            PARAMS.k2 * PARAMS.r_ant * p / path_loss
+            + 3.0 * PARAMS.k4 * PARAMS.r_ant**2 * p**2 / path_loss**2
+        )
+        assert scaling_law_ca(PARAMS, path_loss, p, 1, 1) == pytest.approx(
+            cw, rel=1e-15
+        )
 
-    def test_ca_monotone_in_tones_and_antennas(self):
+    def test_monotone_in_tones_and_antennas(self):
         vals_n = [scaling_law_ca(PARAMS, 1.0, 0.01, n, 2) for n in (1, 2, 4, 8)]
         vals_m = [scaling_law_ca(PARAMS, 1.0, 0.01, 2, m) for m in (1, 2, 4, 8)]
-        assert vals_n == sorted(vals_n) and len(set(vals_n)) == 4
-        assert vals_m == sorted(vals_m) and len(set(vals_m)) == 4
+        assert all(a < b for a, b in zip(vals_n, vals_n[1:]))
+        assert all(a < b for a, b in zip(vals_m, vals_m[1:]))
 
     @pytest.mark.parametrize(
         "call",
         [
-            lambda: scaling_law_cw(PARAMS, 0.0, 1.0),
-            lambda: scaling_law_cw(PARAMS, 1.0, 0.0),
+            lambda: scaling_law_ca(PARAMS, 0.0, 1.0, 1, 1),
+            lambda: scaling_law_ca(PARAMS, 1.0, 0.0, 1, 1),
             lambda: scaling_law_ca(PARAMS, 1.0, 1.0, 0, 1),
             lambda: scaling_law_ca(PARAMS, 1.0, 1.0, 1, 0),
         ],

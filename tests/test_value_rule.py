@@ -21,7 +21,7 @@ from wptsim.csi import CsiConfig, quantize_csi
 from wptsim.design import design_cw, design_mrt, design_smf, design_up
 from wptsim.fitlab import MeasurementRecord, PowerLawFit, invert_range, predict_pdc
 from wptsim.harness import ExperimentConfig
-from wptsim.rectifier import RectifierParams, scaling_law_ca, scaling_law_cw
+from wptsim.rectifier import RectifierParams, scaling_law_ca
 from wptsim.signals import (
     PrecoderWeights,
     ToneGrid,
@@ -45,8 +45,6 @@ CALLS = {
     "design_smf/p": ("p", lambda v: design_smf(CHANNEL, v)),
     "design_smf/beta": ("beta", lambda v: design_smf(CHANNEL, 1.0, beta=v)),
     "normalize_power": ("p", lambda v: normalize_power(WEIGHTS, v)),
-    "scaling_law_cw/path_loss": ("path_loss", lambda v: scaling_law_cw(PARAMS, v, 1.0)),
-    "scaling_law_cw/p": ("p", lambda v: scaling_law_cw(PARAMS, 263.0, v)),
     "scaling_law_ca/path_loss": (
         "path_loss", lambda v: scaling_law_ca(PARAMS, v, 1.0, 8, 2)
     ),
@@ -96,6 +94,7 @@ class TestFrozenComplex:
 # (name the message gives, smallest count, call with that count set to the value)
 COUNT_SITES = {
     "ToneGrid": ("n_tones", 1, lambda v: ToneGrid(2.4e9, 1e6, v)),
+    "ToneGrid.for_band": ("n_tones", 1, lambda v: ToneGrid.for_band(v)),
     "ChannelModel": ("n_taps", 1, lambda v: ChannelModel(n_taps=v)),
     "sample_channel": (
         "m_antennas", 1, lambda v: sample_channel(ChannelModel(), WEIGHTS.grid, v, 1)
@@ -162,6 +161,9 @@ def site_and_good_count(draw):
 class TestIntegerAtLeast:
     @settings(max_examples=300, deadline=None)
     @given(site_and_bad_count())
+    # Before, for_band compared these with 1 first and raised a TypeError.
+    @example(("ToneGrid.for_band", "3"))
+    @example(("ToneGrid.for_band", None))
     def test_every_count_site_names_its_field(self, case):
         site, value = case
         name, minimum, run = COUNT_SITES[site]
