@@ -17,7 +17,8 @@ import os
 import sys
 
 from .channel import load_channel
-from .design import SCHEME_KINDS, DesignScheme, apply_design, effective_channel
+from .design import DEFAULT_BETA, SCHEME_KINDS, DesignScheme
+from .design import apply_design, effective_channel
 from .fitlab import (
     PowerLawFit,
     fit_report,
@@ -72,25 +73,17 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     return config_from_mapping(mapping)
 
 
-def _scheme_from_args(args: argparse.Namespace) -> DesignScheme:
-    kwargs = {"kind": args.scheme}
-    if args.power is not None:
-        kwargs["power_budget"] = args.power
-    if args.beta is not None:
-        kwargs["beta"] = args.beta
-    return DesignScheme(**kwargs)
-
-
 def _design_for_channel(args: argparse.Namespace):
+    scheme = DesignScheme(args.scheme, args.power, args.beta)
     channel = load_channel(args.channel)
-    scheme = _scheme_from_args(args)
     return scheme, channel, apply_design(scheme, channel)
 
 
 def _cmd_design(args: argparse.Namespace) -> int:
-    _, _, weights = _design_for_channel(args)
     if args.out is None:
         raise ValueError("design requires --out for the weight file")
+    _check_out(args.out)
+    _, _, weights = _design_for_channel(args)
     save_weights(weights, args.out)
     return _EXIT_OK
 
@@ -144,6 +137,7 @@ def _cmd_cdf(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
+    _check_out(args.out)
     records = read_measurements_csv(args.measurements)
     text = format_fit_report(fit_report(records))
     _write_output(text, args.out)
@@ -162,6 +156,7 @@ def _cmd_range(args: argparse.Namespace) -> int:
 
 
 def _cmd_paper_check(args: argparse.Namespace) -> int:
+    _check_out(args.out)
     report = paper_check()
     text = "\n".join(report.lines())
     _write_output(text, args.out)
@@ -198,8 +193,12 @@ def build_parser() -> argparse.ArgumentParser:
     def add_channel_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--channel", required=True, help="channel file (.csv or .json)")
         p.add_argument("--scheme", required=True, choices=SCHEME_KINDS)
-        p.add_argument("--power", type=float, help="power budget (default 1.0)")
-        p.add_argument("--beta", type=float, help="smf emphasis exponent")
+        p.add_argument(
+            "--power", type=float, default=1.0, help="power budget (default 1.0)"
+        )
+        p.add_argument(
+            "--beta", type=float, default=DEFAULT_BETA, help="smf emphasis exponent"
+        )
         p.add_argument("--out", help="output file")
 
     p_design = sub.add_parser("design", help="design weights for a stored channel")

@@ -13,7 +13,7 @@ with its own noise seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,17 +41,16 @@ class CsiConfig:
 
     `quant_bits_per_component` counts bits per real and per imaginary part
     of each coefficient (the default 8 + 8 matches a 16-bit feedback word),
-    bounded by `check_quant_bits`; None disables quantization.  The
-    acquisition overhead multiplier (frame_length - acquisition_time) /
-    frame_length is only applied when `account_acquisition_time` is set.
+    bounded by `check_quant_bits`; None disables quantization.  Acquisition
+    takes `acquisition_time`, in [0, frame_length), of each frame; the
+    default 0 leaves a duty factor of exactly 1.
     """
 
     pilot_amplitude: float = 1.0
     noise_variance: float = 0.0
     quant_bits_per_component: int | None = 8
     frame_length: float = 1.0
-    acquisition_time: float = 0.080
-    account_acquisition_time: bool = False
+    acquisition_time: float = 0.0
 
     def __post_init__(self) -> None:
         # numpy divides by a complex pilot through its reciprocal, which a
@@ -66,8 +65,8 @@ class CsiConfig:
         if self.quant_bits_per_component is not None:
             check_quant_bits(self.quant_bits_per_component)
         positive_finite(frame_length=self.frame_length)
-        if not 0 < self.acquisition_time < self.frame_length:
-            raise ValueError("acquisition_time must lie inside the frame")
+        if not 0 <= self.acquisition_time < self.frame_length:
+            raise ValueError("acquisition_time must be >= 0 and below frame_length")
 
     @property
     def duty_factor(self) -> float:
@@ -147,19 +146,15 @@ def csi_loop_zdc(
     design is computed from the noisy, quantized LS estimate and then
     evaluated through the true channel.  For a batched `true_channel`,
     `seed` holds one noise seed per realization and the result is an array
-    of per-realization outputs.  Degenerate estimates (for example all
-    zeros) raise just as they would in the design itself; an estimate whose
-    scale the design cannot normalise raises ValueError naming
-    noise_variance and pilot_amplitude.
+    of per-realization outputs, each scaled by `cfg.duty_factor`.
+    Degenerate estimates (for example all zeros) raise just as they would in
+    the design itself; an estimate whose scale the design cannot normalise
+    raises ValueError naming noise_variance and pilot_amplitude.
     """
     estimate = ls_estimate(true_channel.h, seed, cfg)
     if cfg.quant_bits_per_component is not None:
         estimate = quantize_csi(estimate, cfg.quant_bits_per_component)
-    believed = ChannelRealization(
-        h=estimate,
-        path_loss=true_channel.path_loss,
-        distance=true_channel.distance,
-    )
+    believed = replace(true_channel, h=estimate)
     try:
         weights = apply_design(scheme, believed, grid)
     except ChannelScaleError as exc:
@@ -169,7 +164,4 @@ def csi_loop_zdc(
             f"= {cfg.noise_variance:g}, pilot_amplitude = {cfg.pilot_amplitude:g})"
         ) from None
     tones = received_tones(weights, effective_channel(scheme, true_channel))
-    z = z_dc(tones, params)
-    if cfg.account_acquisition_time:
-        z *= cfg.duty_factor
-    return z
+    return z_dc(tones, params) * cfg.duty_factor

@@ -29,6 +29,18 @@ SCHEME_KINDS = (CW, MRT, UP, SMF)
 
 DEFAULT_BETA = 3.0
 
+# The designs compute 2 * power_budget, which overflows a float above this.
+MAX_POWER_BUDGET = np.finfo(float).max / 2
+
+
+def check_power_budget(power_budget: float) -> None:
+    """Reject a budget outside (0, MAX_POWER_BUDGET], naming the config key."""
+    if not 0 < power_budget <= MAX_POWER_BUDGET:
+        raise ValueError(
+            "power_budget: must be positive and finite, and at most "
+            f"{MAX_POWER_BUDGET:.9g} since the designs double it"
+        )
+
 
 @dataclass(frozen=True)
 class DesignScheme:
@@ -42,6 +54,7 @@ class DesignScheme:
         if self.kind not in SCHEME_KINDS:
             raise ValueError(f"kind must be one of {SCHEME_KINDS}")
         positive_finite(power_budget=self.power_budget)
+        check_power_budget(self.power_budget)
         if self.kind == SMF:
             positive_finite(beta=self.beta)
 
@@ -183,11 +196,7 @@ def effective_channel(
     schemes use the full realization.
     """
     if scheme.kind == CW:
-        return ChannelRealization(
-            h=channel.h[..., :1, :1],
-            path_loss=channel.path_loss,
-            distance=channel.distance,
-        )
+        return replace(channel, h=channel.h[..., :1, :1])
     return channel
 
 

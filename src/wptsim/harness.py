@@ -20,7 +20,6 @@ import numpy as np
 
 from .channel import (
     ChannelModel,
-    ChannelRealization,
     check_steering,
     derive_seed,
     path_loss,
@@ -34,6 +33,7 @@ from .design import (
     SCHEME_KINDS,
     SMF,
     apply_design,
+    check_power_budget,
     effective_channel,
 )
 from .fitlab import (
@@ -142,7 +142,11 @@ class ExperimentConfig:
                 "exceed the largest array numpy can hold"
             )
         counts("seed", (self.seed,), minimum=0)
-        for name in ("power_budget", "beta", "f0", "band_limit"):
+        try:
+            check_power_budget(self.power_budget)
+        except ValueError as exc:
+            problems.append(str(exc))
+        for name in ("beta", "f0", "band_limit"):
             # Only smf reads beta, as DesignScheme states.
             if name == "beta" and SMF not in self.schemes:
                 continue
@@ -211,11 +215,7 @@ def _zdc_ensemble(
             )
             if cfg.csi is not None:
                 noise_seeds.append(derive_seed(cfg.seed, _NOISE_STREAM, *cell, r_index))
-        block = ChannelRealization(
-            h=np.stack([draw.h for draw in draws]),
-            path_loss=draws[0].path_loss,
-            distance=distance,
-        )
+        block = replace(draws[0], h=np.stack([draw.h for draw in draws]))
         if cfg.csi is not None:
             values[start:stop] = csi_loop_zdc(
                 block, scheme, cfg.csi, cfg.rectifier, noise_seeds, grid=grid
@@ -518,7 +518,6 @@ CONFIG_KEYS = {
     "quant_bits": ("csi", "quant_bits_per_component", int),
     "frame_length": ("csi", "frame_length", _parse_finite),
     "acquisition_time": ("csi", "acquisition_time", _parse_finite),
-    "account_acquisition_time": ("csi", "account_acquisition_time", _parse_bool),
 }
 
 

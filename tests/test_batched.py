@@ -44,7 +44,7 @@ from wptsim.signals import ToneGrid, tx_power
 BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench")
 PARAMS = RectifierParams()
 CSI = CsiConfig(noise_variance=1e-3, quant_bits_per_component=8,
-                account_acquisition_time=True)
+                acquisition_time=0.08)
 
 
 def scalar_ensemble(cfg, scheme_name, n_tones, m_antennas, distance, d_index):
@@ -104,7 +104,7 @@ def reference_zdc(cfg, scheme, grid, m, distance, d_index, r):
     m2, m4 = float(np.sum(np.abs(a) ** 2)) / 2.0, 0.375 * float(np.vdot(c, c).real)
     k2, k4, r_ant = cfg.rectifier.k2, cfg.rectifier.k4, cfg.rectifier.r_ant
     z = k2 * r_ant * m2 + k4 * r_ant**2 * m4
-    if csi is not None and csi.account_acquisition_time:
+    if csi is not None:
         z *= csi.duty_factor
     return z
 

@@ -92,3 +92,16 @@ def test_bench_smoke_parses_with_the_recording_versions():
     tier1, smoke = workflow["jobs"]["tier1"], workflow["jobs"]["bench-smoke"]
     assert smoke["steps"][:3] == tier1["steps"][:3]
     assert smoke["steps"][-1]["shell"] == "bash"
+
+
+def test_every_job_has_a_timeout_and_superseded_runs_cancel():
+    # A hang then fails within minutes, not after the hosted runner's
+    # six-hour default.
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load(WORKFLOW.read_text(encoding="utf-8"))
+    timeouts = {
+        name: job.get("timeout-minutes") for name, job in workflow["jobs"].items()
+    }
+    assert timeouts == {"tier1": 20, "bench-smoke": 10}
+    assert workflow["concurrency"]["cancel-in-progress"] is True
+    assert "github.ref" in workflow["concurrency"]["group"]

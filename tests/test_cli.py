@@ -322,6 +322,44 @@ class TestUnusableOut:
         assert captured.out == ""
         assert not (tmp_path / "missing").exists()
 
+    @pytest.mark.parametrize(
+        "command, argv, patched",
+        [
+            ("fit", ["fit", "meas.csv"], "read_measurements_csv"),
+            ("paper-check", ["paper-check"], "paper_check"),
+            ("design", ["design", "--channel", "ch.json", "--scheme", "up"],
+             "load_channel"),
+        ],
+        ids=["fit", "paper-check", "design"],
+    )
+    @pytest.mark.parametrize(
+        "out, message",
+        [
+            ("missing/x.out", "out: directory '{tmp}/missing' does not exist"),
+            (".", "out: '{tmp}' is a directory"),
+        ],
+        ids=["missing-directory", "directory"],
+    )
+    def test_rejected_before_any_file_work(
+        self, tmp_path, capsys, monkeypatch, command, argv, patched, out, message
+    ):
+        def work(*args):
+            raise AssertionError(f"{command} started its work")
+
+        monkeypatch.setattr(cli, patched, work)
+        assert cli.main([*argv, "--out", str(tmp_path / out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: " + message.format(tmp=tmp_path) + "\n"
+        assert captured.out == ""
+        assert not (tmp_path / "missing").exists()
+
+    def test_design_asks_for_out_before_reading_the_channel(self, tmp_path, capsys):
+        argv = ["design", "--channel", str(tmp_path / "nope.json"), "--scheme", "up"]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: design requires --out for the weight file\n"
+        )
+
     def test_existing_file_is_not_truncated_on_a_rejected_config(
         self, tmp_path, capsys
     ):
@@ -581,6 +619,51 @@ class TestOverflowingSettings:
             "error: invalid experiment config: distances: path loss"
         )
 
+    @pytest.mark.parametrize("scheme", ["cw", "mrt", "up", "smf"])
+    def test_sweep_power_budget_whose_double_overflows(
+        self, tmp_path, capsys, monkeypatch, scheme
+    ):
+        def first_cell(*args):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(harness, "_zdc_ensemble", first_cell)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"realizations = 2\ntones = 1\nschemes = {scheme}\n"
+                       "power_budget = 1e308\n")
+        assert cli.main(["sweep", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: invalid experiment config: power_budget: must be positive "
+            "and finite, and at most 8.98846567e+307 since the designs double it\n"
+        )
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("scheme", ["cw", "mrt", "up", "smf"])
+    def test_zdc_power_budget_whose_double_overflows(
+        self, capsys, monkeypatch, scheme
+    ):
+        def load(path):
+            raise AssertionError("the channel file was read")
+
+        monkeypatch.setattr(cli, "load_channel", load)
+        argv = ["zdc", "--channel", "ch.json", "--scheme", scheme, "--power", "1e308"]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: power_budget: must be positive and finite, and at most "
+            "8.98846567e+307 since the designs double it\n"
+        )
+        assert captured.out == ""
+
+    def test_zdc_power_budget_rejected_without_a_warning(self, channel_json):
+        # Doubling 1e308 would overflow with a numpy RuntimeWarning, which
+        # -W error turns into a traceback.
+        argv = ["zdc", "--channel", channel_json, "--scheme", "up", "--power", "1e308"]
+        code, out, err = _wptsim(*argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: power_budget: must be positive and finite")
+        assert err.count("\n") == 1
+
     def test_zdc_power_overflow(self, channel_json, capsys):
         argv = ["zdc", "--channel", channel_json, "--scheme", "mrt", "--power", "1e200"]
         assert cli.main(argv) == 1
@@ -655,6 +738,17 @@ class TestNonFiniteConfigValues:
         assert cli.main(["sweep", "--config", str(cfg)]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {key}: must be a finite number")
+        assert captured.out == ""
+
+
+class TestRemovedConfigKeys:
+    def test_account_acquisition_time_is_unknown(self, tmp_path, capsys):
+        # acquisition_time alone sets the acquisition overhead.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("csi_enabled = true\naccount_acquisition_time = true\n")
+        assert cli.main(["sweep", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: unknown config key 'account_acquisition_time'\n"
         assert captured.out == ""
 
 

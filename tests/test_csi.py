@@ -35,7 +35,7 @@ class TestConfig:
             dict(pilot_amplitude=0.0),
             dict(noise_variance=-1e-9),
             dict(quant_bits_per_component=0),
-            dict(acquisition_time=0.0),
+            dict(acquisition_time=-1e-9),
             dict(acquisition_time=1.0),
             dict(frame_length=0.0),
             dict(quant_bits_per_component=1),
@@ -64,7 +64,12 @@ class TestConfig:
         CsiConfig(pilot_amplitude=np.finfo(float).tiny)
 
     def test_default_duty_factor(self):
-        assert CsiConfig().duty_factor == pytest.approx(0.92, rel=1e-12)
+        # No acquisition overhead by default: the factor is exactly 1.
+        assert CsiConfig().acquisition_time == 0.0
+        assert CsiConfig().duty_factor == 1.0
+        assert CsiConfig(acquisition_time=0.08).duty_factor == pytest.approx(
+            0.92, rel=1e-12
+        )
 
     def test_quantization_can_be_disabled(self):
         assert CsiConfig(quant_bits_per_component=None).quant_bits_per_component is None
@@ -210,14 +215,40 @@ class TestFrameLoop:
             rel.append(abs(z8 - zi) / zi)
         assert np.mean(rel) < 1e-3
 
-    def test_duty_factor_applied_when_enabled(self):
+    def test_duty_factor_applied_with_acquisition_time(self):
         ch, grid = self._channel(seed=30)
         scheme = DesignScheme(kind="mrt", power_budget=1.0)
-        on = CsiConfig(account_acquisition_time=True)
-        off = CsiConfig(account_acquisition_time=False)
+        on = CsiConfig(acquisition_time=0.08)
+        off = CsiConfig()
         z_on = csi_loop_zdc(ch, scheme, on, PARAMS, seed=3, grid=grid)
         z_off = csi_loop_zdc(ch, scheme, off, PARAMS, seed=3, grid=grid)
         assert z_on == pytest.approx(0.92 * z_off, rel=1e-12)
+        assert z_on == z_off * ((1.0 - 0.08) / 1.0)
+
+    @pytest.mark.parametrize(
+        "kind, n_tones, expected",
+        [("mrt", 1, "0x1.2d6184bce6744p+14"), ("smf", 8, "0x1.940614a0dcc84p+16")],
+    )
+    def test_acquisition_time_output_is_pinned(self, kind, n_tones, expected):
+        # Outputs recorded with numpy 2.4 from the frame loop at an 8%
+        # acquisition overhead; the loop must keep these bits.
+        ch, grid = self._channel(seed=30, n_tones=n_tones)
+        scheme = DesignScheme(kind=kind, power_budget=1.0)
+        cfg = CsiConfig(noise_variance=1e-3, acquisition_time=0.08)
+        z = csi_loop_zdc(ch, scheme, cfg, PARAMS, seed=3, grid=grid)
+        assert z == float.fromhex(expected)
+
+    @pytest.mark.parametrize("frame_length", [1.0, 3e-3, 7.0])
+    def test_no_overhead_keeps_every_bit(self, frame_length):
+        ch, grid = self._channel(seed=31, n_tones=8)
+        scheme = DesignScheme(kind="smf", power_budget=1.0)
+        cfg = CsiConfig(noise_variance=1e-3, frame_length=frame_length)
+        assert cfg.duty_factor == 1.0
+        z = csi_loop_zdc(ch, scheme, cfg, PARAMS, seed=4, grid=grid)
+        estimate = quantize_csi(ls_estimate(ch.h, 4, cfg), 8)
+        believed = ChannelRealization(estimate, ch.path_loss, ch.distance)
+        w = apply_design(scheme, believed, grid)
+        assert z == z_dc(received_tones(w, effective_channel(scheme, ch)), PARAMS)
 
     def test_noise_degrades_average_output(self):
         scheme = DesignScheme(kind="mrt", power_budget=1.0)

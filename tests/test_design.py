@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from wptsim.channel import ChannelRealization, complex_normal, make_rng
 from wptsim.design import (
+    MAX_POWER_BUDGET,
     ChannelScaleError,
     DesignScheme,
     _check_weights,
@@ -312,6 +313,18 @@ class TestScheme:
     def test_non_finite_rejected_naming_field(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
             DesignScheme(kind="smf", **{name: value})
+
+    @pytest.mark.parametrize("kind", ["cw", "mrt", "up", "smf"])
+    def test_power_budget_whose_double_overflows_rejected(self, kind):
+        DesignScheme(kind=kind, power_budget=MAX_POWER_BUDGET)
+        too_large = math.nextafter(float(MAX_POWER_BUDGET), math.inf)
+        with pytest.raises(ValueError, match="power_budget: .* at most"):
+            DesignScheme(kind=kind, power_budget=too_large)
+
+    def test_power_budget_bound_is_the_largest_doubling(self):
+        bound = float(MAX_POWER_BUDGET)
+        assert math.isfinite(2.0 * bound)
+        assert 2.0 * math.nextafter(bound, math.inf) == math.inf
 
     def test_smf_beta_validated(self):
         with pytest.raises(ValueError):

@@ -201,19 +201,44 @@ class TestSweep:
         )
 
 
+def up_one_tap_mean(params, loss, p, n, m):
+    """Exact mean of `z_dc` for UP on a one-tap channel, i.i.d. CN(0, 1)
+    across antennas.
+
+    Every tone then receives sqrt(2 p / (N M L)) S with S = sum_m |h_m|, so
+    E z = k2 R p E[S^2] / (M L) + (3/8) k4 R^2 (2 p / (N M L))^2 Q(N) E[S^4],
+    with the Rayleigh moments E|h| = sqrt(pi) / 2, E|h|^2 = 1,
+    E|h|^3 = 3 sqrt(pi) / 4 and E|h|^4 = 2 in the expansions of E[S^2] and
+    E[S^4].
+    """
+    s2 = m + m * (m - 1) * math.pi / 4
+    s4 = (
+        2 * m
+        + (3 + 1.5 * math.pi) * m * (m - 1)
+        + 1.5 * math.pi * m * (m - 1) * (m - 2)
+        + math.pi**2 / 16 * m * (m - 1) * (m - 2) * (m - 3)
+    )
+    q = (2 * n**3 + n) // 3
+    second = params.k2 * params.r_ant * p * s2 / (m * loss)
+    amplitude2 = 2 * p / (n * m * loss)
+    fourth = 0.375 * params.k4 * params.r_ant**2 * amplitude2**2 * q * s4
+    return second + fourth
+
+
 class TestMeanLaw:
-    """Sweep means against the exact ensemble mean `scaling_law_ca`, within
-    4.5 standard errors, on a grid where the law is exact: smf on a one-tap
-    channel, and mrt and cw (the N = M = 1 law) on the default tapped-delay
-    channel.  At 1 W the fourth-order term dominates, at 1 mW the second."""
+    """Sweep means against their exact ensemble means, within 4.5 standard
+    errors: `scaling_law_ca` for smf on a one-tap channel and for mrt and cw
+    (the N = M = 1 law) on the default tapped-delay channel, and
+    `up_one_tap_mean` for up on the one-tap channel.  At 1 W the
+    fourth-order term dominates, at 1 mW the second."""
 
     # Fixed before the first run; never re-pick it to pass.
     SEED = 2
 
     @pytest.mark.parametrize("power_budget", [1.0, 1e-3])
     def test_sweep_means_match_the_law(self, power_budget):
-        smf = ExperimentConfig(
-            schemes=("smf",),
+        one_tap = ExperimentConfig(
+            schemes=("smf", "up"),
             tone_counts=(1, 4, 8),
             antenna_counts=(1, 2, 4),
             distances=(1.0,),
@@ -223,23 +248,25 @@ class TestMeanLaw:
             channel_model=ChannelModel(n_taps=1),
         )
         beam = replace(
-            smf,
+            one_tap,
             schemes=("cw", "mrt"),
             tone_counts=(1,),
             antenna_counts=(1, 2, 4, 8),
             channel_model=ChannelModel(),
         )
         scores = {}
-        for cfg in (smf, beam):
+        for cfg in (one_tap, beam):
             loss = path_loss(cfg.channel_model, 1.0)
             for row in run_sweep(cfg):
                 n, m = (1, 1) if row.scheme == "cw" else (row.n_tones, row.m_antennas)
-                law = scaling_law_ca(cfg.rectifier, loss, power_budget, n, m)
+                law = (up_one_tap_mean if row.scheme == "up" else scaling_law_ca)(
+                    cfg.rectifier, loss, power_budget, n, m
+                )
                 sem = row.zdc_std / math.sqrt(cfg.realizations)
                 scores[row.scheme, row.n_tones, row.m_antennas] = (
                     (row.zdc_mean - law) / sem
                 )
-        assert len(scores) == 17
+        assert len(scores) == 26
         assert max(map(abs, scores.values())) <= 4.5, scores
 
 
