@@ -199,10 +199,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--beta", type=float, default=DEFAULT_BETA, help="smf emphasis exponent"
         )
-        p.add_argument("--out", help="output file")
 
     p_design = sub.add_parser("design", help="design weights for a stored channel")
     add_channel_flags(p_design)
+    p_design.add_argument("--out", help="weight file to write (required)")
     p_design.set_defaults(func=_cmd_design)
 
     p_zdc = sub.add_parser("zdc", help="DC output for one stored channel")

@@ -31,15 +31,18 @@ DEFAULT_BETA = 3.0
 
 # The designs compute 2 * power_budget, which overflows a float above this.
 MAX_POWER_BUDGET = np.finfo(float).max / 2
+POWER_BUDGET_RULE = (
+    f"must be positive and finite, and at most {MAX_POWER_BUDGET:.9g} "
+    "since the designs double it"
+)
 
 
-def check_power_budget(power_budget: float) -> None:
-    """Reject a budget outside (0, MAX_POWER_BUDGET], naming the config key."""
-    if not 0 < power_budget <= MAX_POWER_BUDGET:
-        raise ValueError(
-            "power_budget: must be positive and finite, and at most "
-            f"{MAX_POWER_BUDGET:.9g} since the designs double it"
-        )
+def check_power_budget(value: float, name: str = "power_budget") -> None:
+    """Reject a budget outside (0, MAX_POWER_BUDGET], naming it `name`:
+    `positive_finite` states the (0, inf) part, POWER_BUDGET_RULE the bound."""
+    positive_finite(**{name: value})
+    if value > MAX_POWER_BUDGET:
+        raise ValueError(f"{name}: {POWER_BUDGET_RULE}")
 
 
 @dataclass(frozen=True)
@@ -53,7 +56,6 @@ class DesignScheme:
     def __post_init__(self) -> None:
         if self.kind not in SCHEME_KINDS:
             raise ValueError(f"kind must be one of {SCHEME_KINDS}")
-        positive_finite(power_budget=self.power_budget)
         check_power_budget(self.power_budget)
         if self.kind == SMF:
             positive_finite(beta=self.beta)
@@ -108,7 +110,7 @@ def design_cw(
 
     The weights have shape ``(*batch_shape, 1, 1)``.
     """
-    positive_finite(p=p)
+    check_power_budget(p, "p")
     if grid is None:
         grid = ToneGrid.for_band(1)
     if grid.n_tones != 1:
@@ -126,7 +128,7 @@ def design_mrt(
     a normalisation sqrt(2 p) / ||h|| that is not positive and finite raise
     ChannelScaleError; an all-zero channel raises ValueError.
     """
-    positive_finite(p=p)
+    check_power_budget(p, "p")
     if channel.n_tones != 1:
         raise ValueError("MRT is a single-tone design; channel must have n_tones = 1")
     h = channel.h
@@ -150,7 +152,7 @@ def design_up(
     Every entry has amplitude sqrt(2 p / (N M)); entry (n, m) carries the
     negated channel phase so the received tones still combine coherently.
     """
-    positive_finite(p=p)
+    check_power_budget(p, "p")
     amp = math.sqrt(2.0 * p / (channel.n_tones * channel.m_antennas))
     w = amp * np.exp(-1j * channel.phases)
     return PrecoderWeights(w, _resolve_grid(channel, grid))
@@ -174,7 +176,8 @@ def design_smf(
     and finite raise ChannelScaleError; a realization whose tones are all
     zero raises ValueError.
     """
-    positive_finite(p=p, beta=beta)
+    check_power_budget(p, "p")
+    positive_finite(beta=beta)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         norms = np.linalg.norm(channel.h, axis=-1)
         alive = norms > 0

@@ -30,6 +30,7 @@ from .design import (
     DEFAULT_BETA,
     DesignScheme,
     MRT,
+    POWER_BUDGET_RULE,
     SCHEME_KINDS,
     SMF,
     apply_design,
@@ -144,8 +145,8 @@ class ExperimentConfig:
         counts("seed", (self.seed,), minimum=0)
         try:
             check_power_budget(self.power_budget)
-        except ValueError as exc:
-            problems.append(str(exc))
+        except ValueError:
+            problems.append(f"power_budget: {POWER_BUDGET_RULE}")
         for name in ("beta", "f0", "band_limit"):
             # Only smf reads beta, as DesignScheme states.
             if name == "beta" and SMF not in self.schemes:

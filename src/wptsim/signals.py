@@ -67,28 +67,18 @@ def frozen_complex(values, name: str, axes: tuple[str, ...]) -> np.ndarray:
 class ToneGrid:
     """Evenly spaced tone comb: tone n sits at ``f0 + n * delta_f`` Hz.
 
-    `f0` and `delta_f` are positive and finite.  The occupied bandwidth
-    ``(n_tones - 1) * delta_f``, as computed, may not exceed `band_limit`,
-    which is positive and may be inf; the closed-form rectifier also
-    requires `rectifier.check_comb`.
+    `f0` and `delta_f` are positive and finite.  A band limit is an input to
+    `for_band`, not part of the grid; the closed-form rectifier requires
+    `rectifier.check_comb`.
     """
 
     f0: float
     delta_f: float
     n_tones: int
-    band_limit: float = DEFAULT_BAND_LIMIT
 
     def __post_init__(self) -> None:
         integer_at_least(1, n_tones=self.n_tones)
         positive_finite(f0=self.f0, delta_f=self.delta_f)
-        if not self.band_limit > 0:
-            raise ValueError("band_limit must be positive")
-        occupied = (self.n_tones - 1) * self.delta_f
-        if occupied > self.band_limit:
-            raise ValueError(
-                f"occupied bandwidth {occupied:g} Hz exceeds the "
-                f"{self.band_limit:g} Hz band limit"
-            )
 
     @property
     def frequencies(self) -> np.ndarray:
@@ -108,7 +98,7 @@ class ToneGrid:
         delta_f = band_limit / (n_tones - 1) if n_tones > 1 else band_limit
         if (n_tones - 1) * delta_f > band_limit:
             delta_f = math.nextafter(delta_f, 0.0)
-        return cls(f0=f0, delta_f=delta_f, n_tones=n_tones, band_limit=band_limit)
+        return cls(f0=f0, delta_f=delta_f, n_tones=n_tones)
 
 
 def per_realization(values):
@@ -298,18 +288,17 @@ def weights_to_json(weights: PrecoderWeights) -> dict:
         "f0": weights.grid.f0,
         "delta_f": weights.grid.delta_f,
         "n_tones": weights.grid.n_tones,
-        "band_limit": weights.grid.band_limit,
         "entries": entries_to_json(weights.w),
     }
 
 
 def weights_from_json(data: dict) -> PrecoderWeights:
-    """Inverse of `weights_to_json`; the antenna count comes from the entries."""
+    """Inverse of `weights_to_json`; the antenna count comes from the entries,
+    and other keys (older files carry a `band_limit`) are ignored."""
     grid = ToneGrid(
         f0=read_field(data, "f0"),
         delta_f=read_field(data, "delta_f"),
         n_tones=read_field(data, "n_tones", int),
-        band_limit=read_field(data, "band_limit", default=DEFAULT_BAND_LIMIT),
     )
     return PrecoderWeights(entries_from_json(data.get("entries"), grid.n_tones), grid)
 

@@ -67,7 +67,7 @@ def test_criterion_01_rectifier_oracle_equivalence():
         n = int(rng.integers(1, 17))
         m = int(rng.integers(1, 9))
         q0 = int(rng.integers(16, 65))
-        grid = ToneGrid(f0=q0 * 1e6, delta_f=1e6, n_tones=n, band_limit=np.inf)
+        grid = ToneGrid(f0=q0 * 1e6, delta_f=1e6, n_tones=n)
         h = complex_normal(rng, (n, m))
         channel = ChannelRealization(
             h=h, path_loss=float(rng.uniform(0.5, 4.0)), distance=1.0
@@ -97,7 +97,7 @@ def test_criterion_02_in_phase_fourth_moment_law():
     worst = 0.0
     for n in (1, 2, 4, 8, 16):
         for amp in (1.0, 0.7):
-            grid = ToneGrid(f0=32e6, delta_f=1e6, n_tones=n, band_limit=np.inf)
+            grid = ToneGrid(f0=32e6, delta_f=1e6, n_tones=n)
             tones = ReceivedTones(a=np.full(n, amp, dtype=complex), grid=grid)
             expected = (2 * n**3 + n) / 8.0 * amp**4
             worst = max(worst, abs(moment4(tones) - expected) / expected)
@@ -159,7 +159,7 @@ def test_criterion_04_adaptive_law_trends():
     # fourth-order term at N = 8 vs N = 4 is exactly 43/22 (~1.9545).
     def fourth_term(n):
         amp = np.sqrt(2 * p / n)
-        grid_n = ToneGrid(f0=32e6, delta_f=1e6, n_tones=n, band_limit=np.inf)
+        grid_n = ToneGrid(f0=32e6, delta_f=1e6, n_tones=n)
         tones = ReceivedTones(a=np.full(n, amp, dtype=complex), grid=grid_n)
         return PARAMS.k4 * PARAMS.r_ant**2 * moment4(tones)
 

@@ -105,3 +105,13 @@ def test_every_job_has_a_timeout_and_superseded_runs_cancel():
     assert timeouts == {"tier1": 20, "bench-smoke": 10}
     assert workflow["concurrency"]["cancel-in-progress"] is True
     assert "github.ref" in workflow["concurrency"]["group"]
+
+
+def test_every_job_caches_pip_keyed_on_pyproject():
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load(WORKFLOW.read_text(encoding="utf-8"))
+    for name, job in workflow["jobs"].items():
+        setup = job["steps"][1]
+        assert setup["uses"] == "actions/setup-python@v5", name
+        assert setup["with"]["cache"] == "pip", name
+        assert setup["with"]["cache-dependency-path"] == "pyproject.toml", name

@@ -108,6 +108,13 @@ class TestDesignAndZdc:
         value = float(capsys.readouterr().out.strip())
         assert value > 0
 
+    def test_zdc_has_no_out(self, channel_json, tmp_path, capsys):
+        out = tmp_path / "z.txt"
+        argv = ["zdc", "--channel", channel_json, "--scheme", "up", "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert "unrecognized arguments: --out" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zdc_reads_csv_channels_too(self, tmp_path, capsys):
         model = ChannelModel(n_taps=1, path_loss_ref=1.0)
         ch = sample_channel(model, ToneGrid.for_band(1), 2, seed=3)

@@ -321,6 +321,22 @@ class TestScheme:
         with pytest.raises(ValueError, match="power_budget: .* at most"):
             DesignScheme(kind=kind, power_budget=too_large)
 
+    @pytest.mark.parametrize(
+        "design",
+        [
+            lambda p: design_cw(p),
+            lambda p: design_mrt(ChannelRealization(np.ones((1, 2)), 1.0, 1.0), p),
+            lambda p: design_up(ChannelRealization(np.ones((2, 2)), 1.0, 1.0), p),
+            lambda p: design_smf(ChannelRealization(np.ones((2, 2)), 1.0, 1.0), p),
+        ],
+        ids=["cw", "mrt", "up", "smf"],
+    )
+    def test_designs_reject_a_budget_above_the_bound_naming_p(self, design):
+        design(MAX_POWER_BUDGET)
+        too_large = math.nextafter(float(MAX_POWER_BUDGET), math.inf)
+        with pytest.raises(ValueError, match=r"^p: .* at most 8\.98846567e\+307"):
+            design(too_large)
+
     def test_power_budget_bound_is_the_largest_doubling(self):
         bound = float(MAX_POWER_BUDGET)
         assert math.isfinite(2.0 * bound)

@@ -26,7 +26,7 @@ PARAMS = RectifierParams()
 
 def make_tones(a, f0=32e6, delta_f=1e6):
     a = np.asarray(a, dtype=np.complex128)
-    grid = ToneGrid(f0=f0, delta_f=delta_f, n_tones=a.shape[0], band_limit=np.inf)
+    grid = ToneGrid(f0=f0, delta_f=delta_f, n_tones=a.shape[0])
     return ReceivedTones(a=a, grid=grid)
 
 

@@ -1,5 +1,6 @@
 """Tone grids, precoder weights, and waveform synthesis."""
 
+import dataclasses
 import json
 import math
 import re
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wptsim.channel import ChannelRealization
-from wptsim.rectifier import received_signal
+from wptsim.rectifier import ReceivedTones, received_signal
 from wptsim.signals import (
     PrecoderWeights,
     ToneGrid,
@@ -30,7 +31,7 @@ def crandn(rng, shape):
 
 def make_weights(w, f0=32e6, delta_f=1e6):
     w = np.atleast_2d(np.asarray(w, dtype=complex))
-    grid = ToneGrid(f0=f0, delta_f=delta_f, n_tones=w.shape[0], band_limit=np.inf)
+    grid = ToneGrid(f0=f0, delta_f=delta_f, n_tones=w.shape[0])
     return PrecoderWeights(w, grid)
 
 
@@ -45,9 +46,18 @@ class TestToneGrid:
         grid = ToneGrid(f0=2.4e9, delta_f=5e6, n_tones=1)
         assert grid.frequencies.tolist() == [2.4e9]
 
-    def test_band_limit_enforced(self):
-        with pytest.raises(ValueError, match="band limit"):
-            ToneGrid(f0=2.4e9, delta_f=1e6, n_tones=16, band_limit=10e6)
+    def test_direct_grid_is_not_band_capped(self):
+        # A band limit only sets for_band's spacing: a direct grid may span
+        # 15 MHz, and the rectifier still rejects a comb reaching 2 f0.
+        grid = ToneGrid(f0=2.4e9, delta_f=1e6, n_tones=16)
+        assert grid.frequencies[-1] - grid.frequencies[0] == 15e6
+        with pytest.raises(ValueError, match="f0/band_limit"):
+            ReceivedTones(np.ones(16), ToneGrid(f0=7.5e6, delta_f=1e6, n_tones=16))
+
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(ToneGrid)] == [
+            "f0", "delta_f", "n_tones"
+        ]
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -149,7 +159,7 @@ class TestTxPower:
             m = int(rng.integers(1, 9))
             q0 = int(rng.integers(16, 65))
             delta_f = 1e6
-            grid = ToneGrid(q0 * delta_f, delta_f, n, band_limit=np.inf)
+            grid = ToneGrid(q0 * delta_f, delta_f, n)
             weights = PrecoderWeights(crandn(rng, (n, m)), grid)
             samples = 8 * (q0 + n)
             t = np.arange(samples) / (samples * delta_f)
@@ -217,7 +227,7 @@ class TestReceivedSignal:
         rng = np.random.default_rng(8)
         w1 = crandn(rng, (4, 2))
         w2 = crandn(rng, (4, 2))
-        grid = ToneGrid(32e6, 1e6, 4, band_limit=np.inf)
+        grid = ToneGrid(32e6, 1e6, 4)
         channel = ChannelRealization(
             h=crandn(rng, (4, 2)), path_loss=2.0, distance=1.0
         )
@@ -247,6 +257,25 @@ class TestWeightsIo:
         np.testing.assert_array_equal(loaded.w, weights.w)
         assert loaded.grid == weights.grid
 
+    def test_file_keys(self):
+        data = weights_to_json(make_weights(np.ones((2, 2))))
+        assert list(data) == ["f0", "delta_f", "n_tones", "entries"]
+
+    def test_wide_grid_loads(self):
+        # 16 tones at 1 MHz span 15 MHz; no band limit caps a weight file.
+        data = weights_to_json(make_weights(np.ones((16, 2)), f0=2.4e9))
+        loaded = weights_from_json(data)
+        assert loaded.grid == ToneGrid(f0=2.4e9, delta_f=1e6, n_tones=16)
+        np.testing.assert_array_equal(loaded.w, np.ones((16, 2)))
+
+    def test_band_limit_key_is_ignored(self):
+        weights = make_weights(np.arange(6.0).reshape(3, 2) + 1j)
+        data = weights_to_json(weights)
+        for band_limit in (10e6, 1.0, float("nan")):
+            loaded = weights_from_json({**data, "band_limit": band_limit})
+            assert loaded.grid == weights.grid
+            np.testing.assert_array_equal(loaded.w, weights.w)
+
     def test_missing_entries_rejected(self):
         data = weights_to_json(make_weights(np.ones((2, 2))))
         del data["entries"][-1]
@@ -268,11 +297,10 @@ class TestWeightsIo:
             (lambda d: d.update(f0=float("nan")), "f0 must"),
             (lambda d: d.update(delta_f=float("inf")), "delta_f must"),
             (lambda d: d.update(delta_f=float("nan")), "delta_f must"),
-            (lambda d: d.update(band_limit=float("nan")), "band_limit must"),
         ],
         ids=["huge-antenna", "duplicate", "fractional", "boolean", "inf", "no-f0",
              "not-a-list", "inf-f0", "overflow-f0", "nan-f0", "inf-delta_f",
-             "nan-delta_f", "nan-band_limit"],
+             "nan-delta_f"],
     )
     def test_bad_files_rejected_naming_the_field(self, edit, field):
         data = weights_to_json(make_weights(np.ones((2, 2))))
