@@ -58,7 +58,6 @@ from .rectifier import (
 from .signals import (
     PrecoderWeights,
     ToneGrid,
-    normalize_power,
     synthesize_tx,
     tx_power,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "make_rng",
     "moment2",
     "moment4",
-    "normalize_power",
     "paper_baseline",
     "paper_check",
     "paper_fit",

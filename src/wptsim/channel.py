@@ -14,6 +14,9 @@ seeded CN(0, 1) draw, channel taps and CSI noise alike, goes through
 `unit_normals`, which re-keys one Philox per process for each seed instead
 of building a generator per seed; `make_rng` and `complex_normal` stay as
 the reference definitions it reproduces bit for bit.
+
+A realization is stored in one file format, JSON (`save_channel` and
+`load_channel`), which replays it bit for bit.
 """
 
 from __future__ import annotations
@@ -26,13 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import ToneGrid, csv_text, entries_from_json, entries_to_json, read_field
-from .signals import frozen_complex, integer_at_least, positive_finite, read_csv_entries
+from .signals import ToneGrid, entries_from_json, entries_to_json, read_field
+from .signals import frozen_complex, integer_at_least, positive_finite
 
 DEFAULT_PATH_LOSS_REF = 263.0
 DEFAULT_PATH_LOSS_EXPONENT = 1.55
-
-CHANNEL_FIELDS = ["tone", "antenna", "real", "imag", "path_loss", "distance"]
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -306,10 +307,6 @@ class ChannelRealization:
         return self.h.shape[-1]
 
     @property
-    def amplitudes(self) -> np.ndarray:
-        return np.abs(self.h)
-
-    @property
     def phases(self) -> np.ndarray:
         return np.angle(self.h)
 
@@ -406,45 +403,19 @@ def channel_from_json(data: dict) -> ChannelRealization:
     )
 
 
-def save_channel_csv(channel: ChannelRealization, path: str) -> None:
-    """Write `tone,antenna,real,imag,path_loss,distance` rows (full precision)."""
-    tail = [format(channel.path_loss, ".17g"), format(channel.distance, ".17g")]
-    rows = (
-        [e["tone"], e["antenna"], format(e["real"], ".17g"), format(e["imag"], ".17g")]
-        + tail
-        for e in entries_to_json(channel.h)
-    )
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(csv_text(CHANNEL_FIELDS, rows))
-
-
-def load_channel_csv(path: str) -> ChannelRealization:
-    """Inverse of `save_channel_csv`; all rows share one path loss and distance."""
-    rows = read_csv_entries(path, CHANNEL_FIELDS)
-    channel = ChannelRealization(
-        h=entries_from_json(rows),
-        path_loss=read_field(rows[0], "path_loss"),
-        distance=read_field(rows[0], "distance"),
-    )
-    for i, row in enumerate(rows):
-        for key in ("path_loss", "distance"):
-            if read_field(row, key) != getattr(channel, key):
-                raise ValueError(f"entries[{i}]: {key!r} differs from the first row")
-    return channel
-
-
 def save_channel(channel: ChannelRealization, path: str) -> None:
-    """Write a channel file; the extension picks JSON (.json) or CSV."""
-    if path.endswith(".json"):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(channel_to_json(channel), fh, indent=2)
-            fh.write("\n")
-    else:
-        save_channel_csv(channel, path)
+    """Write the JSON of `channel_to_json`, whatever the extension of `path`."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(channel_to_json(channel), fh, indent=2)
+        fh.write("\n")
 
 
 def load_channel(path: str) -> ChannelRealization:
-    if path.endswith(".json"):
-        with open(path, "r", encoding="utf-8") as fh:
-            return channel_from_json(json.load(fh))
-    return load_channel_csv(path)
+    """Inverse of `save_channel`.  A file that is not UTF-8 JSON, such as a
+    channel CSV of older versions, is rejected naming `path`."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            raise ValueError(f"{path!r} is not a JSON channel file: {exc}") from None
+    return channel_from_json(data)

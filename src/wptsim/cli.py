@@ -101,6 +101,8 @@ def _check_out(out_path: str | None) -> None:
     itself is neither created nor truncated here."""
     if out_path is None:
         return
+    if not out_path:
+        raise ValueError("out: must not be empty")
     parent = os.path.dirname(out_path) or "."
     if os.path.isdir(out_path):
         raise ValueError(f"out: {out_path!r} is a directory")
@@ -191,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--realizations", type=int, help="realizations per cell")
 
     def add_channel_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--channel", required=True, help="channel file (.csv or .json)")
+        p.add_argument("--channel", required=True, help="channel file (JSON)")
         p.add_argument("--scheme", required=True, choices=SCHEME_KINDS)
         p.add_argument(
             "--power", type=float, default=1.0, help="power budget (default 1.0)"

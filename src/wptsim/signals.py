@@ -175,17 +175,7 @@ def tx_power(weights: PrecoderWeights):
     return per_realization(np.sum(np.abs(weights.w) ** 2, axis=(-2, -1)) / 2.0)
 
 
-def normalize_power(weights: PrecoderWeights, p: float) -> PrecoderWeights:
-    """Rescale each realization (positive scalar multiple) so tx_power equals p."""
-    positive_finite(p=p)
-    current = np.asarray(tx_power(weights))
-    if np.any(current == 0.0):
-        raise ValueError("cannot normalize an all-zero weight matrix")
-    scale = np.sqrt(p / current)[..., None, None]
-    return PrecoderWeights(weights.w * scale, weights.grid)
-
-
-def read_field(record, key: str, kind: type = float, default=None):
+def read_field(record, key: str, kind: type = float):
     """record[key] as a float or an int, from a JSON value or CSV text.
 
     Raises ValueError naming the key in place of KeyError or TypeError, and
@@ -193,7 +183,7 @@ def read_field(record, key: str, kind: type = float, default=None):
     """
     if not isinstance(record, dict):
         raise ValueError(f"expected a JSON object holding {key!r}")
-    value = record.get(key, default)
+    value = record.get(key)
     if value is None:
         raise ValueError(f"{key!r} is missing")
     try:
@@ -244,8 +234,9 @@ def entries_to_json(matrix: np.ndarray) -> list[dict]:
     ]
 
 
-def entries_from_json(entries, n_tones=None, m_antennas=None) -> np.ndarray:
-    """Inverse of `entries_to_json`; a dimension given as None is 1 + its largest index.
+def entries_from_json(entries, n_tones, m_antennas=None) -> np.ndarray:
+    """Inverse of `entries_to_json`; `m_antennas` given as None is 1 + the
+    largest antenna index.
 
     Dimensions must pass `integer_at_least(1, ...)`, indices be integers in
     range, values finite, and there must be exactly one entry per (tone,
@@ -264,7 +255,6 @@ def entries_from_json(entries, n_tones=None, m_antennas=None) -> np.ndarray:
         except ValueError as exc:
             raise ValueError(f"entries[{i}]: {exc}") from None
         parsed.append((n, m, value))
-    n_tones = 1 + max(p[0] for p in parsed) if n_tones is None else n_tones
     m_antennas = 1 + max(p[1] for p in parsed) if m_antennas is None else m_antennas
     integer_at_least(1, n_tones=n_tones, m_antennas=m_antennas)
     if len(parsed) != n_tones * m_antennas:

@@ -1,5 +1,7 @@
 """Channel models: path loss, sampling statistics, determinism, replay."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -11,11 +13,9 @@ from wptsim.channel import (
     check_steering,
     derive_seed,
     load_channel,
-    load_channel_csv,
     path_loss,
     sample_channel,
     save_channel,
-    save_channel_csv,
 )
 from wptsim.signals import ToneGrid
 
@@ -79,7 +79,7 @@ class TestRealization:
         h = np.array([[0.3 - 0.4j, 1.0 + 2.0j]])
         ch = ChannelRealization(h=h, path_loss=2.0, distance=1.5)
         np.testing.assert_allclose(
-            ch.amplitudes * np.exp(1j * ch.phases), h, rtol=1e-12
+            np.abs(ch.h) * np.exp(1j * ch.phases), h, rtol=1e-12
         )
 
     @pytest.mark.parametrize(
@@ -218,27 +218,14 @@ class TestSerialization:
     def _channel(self):
         return sample_channel(SELECTIVE, ToneGrid.for_band(3), 2, seed=11, distance=2.5)
 
-    def test_csv_round_trip_exact(self, tmp_path):
+    # Every path is written as JSON, whatever its extension.
+    @pytest.mark.parametrize("name", ["chan.json", "chan.csv", "chan"])
+    def test_json_round_trip_exact(self, tmp_path, name):
         ch = self._channel()
-        path = tmp_path / "chan.csv"
-        save_channel_csv(ch, str(path))
-        loaded = load_channel_csv(str(path))
-        np.testing.assert_array_equal(loaded.h, ch.h)
-        assert loaded.path_loss == ch.path_loss
-        assert loaded.distance == ch.distance
-
-    def test_json_round_trip_exact(self, tmp_path):
-        ch = self._channel()
-        path = tmp_path / "chan.json"
+        path = tmp_path / name
         save_channel(ch, str(path))
-        loaded = load_channel(str(path))
-        np.testing.assert_array_equal(loaded.h, ch.h)
-
-    def test_csv_header_enforced(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("tone,antenna,re,im,pl,d\n0,0,1,0,1,1\n")
-        with pytest.raises(ValueError, match="header"):
-            load_channel_csv(str(path))
+        assert json.loads(path.read_text()) == channel_to_json(ch)
+        np.testing.assert_array_equal(load_channel(str(path)).h, ch.h)
 
     def test_missing_entries_rejected(self):
         ch = self._channel()

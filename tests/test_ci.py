@@ -62,11 +62,12 @@ def test_bench_smoke_runs_every_workload():
     names = [workload["name"] for workload in benchmark["workloads"]]
     matrix = re.search(r"\n +workload: \[([^]]*)\]\n", bench_smoke_job()).group(1)
     assert [name.strip() for name in matrix.split(",")] == names
-    command = (
-        "python3 bench/run.py --workload ${{ matrix.workload }} "
-        "--seed 1 --seconds 1 --trace 0"
-    )
-    assert command in bench_smoke_job()
+    for trace in (0, 1):
+        command = (
+            "python3 bench/run.py --workload ${{ matrix.workload }} "
+            f"--seed 1 --seconds 1 --trace {trace} | tee smoke.out\n"
+        )
+        assert command in bench_smoke_job()
 
 
 @pytest.mark.parametrize(
@@ -79,9 +80,12 @@ def test_bench_smoke_runs_every_workload():
     ],
 )
 def test_bench_smoke_gate_reads_the_last_line(last_line, passes):
-    gate = re.search(r"python3 -c '([^']*)'", bench_smoke_job()).group(1)
+    # The untraced and the traced run end with the same gate.
+    gate = r"tail -n 1 smoke.out \| python3 -c '([^']*)'"
+    gates = re.findall(gate, bench_smoke_job())
+    assert len(gates) == 2 and gates[0] == gates[1]
     proc = subprocess.run(
-        [sys.executable, "-c", gate], input=json.dumps(last_line), text=True
+        [sys.executable, "-c", gates[0]], input=json.dumps(last_line), text=True
     )
     assert (proc.returncode == 0) == passes
 
@@ -91,7 +95,8 @@ def test_bench_smoke_parses_with_the_recording_versions():
     workflow = yaml.safe_load(WORKFLOW.read_text(encoding="utf-8"))
     tier1, smoke = workflow["jobs"]["tier1"], workflow["jobs"]["bench-smoke"]
     assert smoke["steps"][:3] == tier1["steps"][:3]
-    assert smoke["steps"][-1]["shell"] == "bash"
+    runs = [step for step in smoke["steps"] if "bench/run.py" in step.get("run", "")]
+    assert [step["shell"] for step in runs] == ["bash", "bash"]
 
 
 def test_every_job_has_a_timeout_and_superseded_runs_cancel():

@@ -14,13 +14,11 @@ import pytest
 
 from wptsim import cli, harness
 from wptsim.channel import (
-    CHANNEL_FIELDS,
     ChannelModel,
     ChannelRealization,
     load_channel,
     sample_channel,
     save_channel,
-    save_channel_csv,
 )
 from wptsim.design import DesignScheme, apply_design
 from wptsim.fitlab import MEASUREMENT_FIELDS, MeasurementRecord, write_measurements_csv
@@ -115,14 +113,6 @@ class TestDesignAndZdc:
         assert "unrecognized arguments: --out" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_zdc_reads_csv_channels_too(self, tmp_path, capsys):
-        model = ChannelModel(n_taps=1, path_loss_ref=1.0)
-        ch = sample_channel(model, ToneGrid.for_band(1), 2, seed=3)
-        path = tmp_path / "chan.csv"
-        save_channel_csv(ch, str(path))
-        assert cli.main(["zdc", "--channel", str(path), "--scheme", "up"]) == 0
-        float(capsys.readouterr().out.strip())
-
     def test_missing_channel_file(self, tmp_path, capsys):
         code = cli.main(
             ["zdc", "--channel", str(tmp_path / "nope.json"), "--scheme", "mrt"]
@@ -144,9 +134,6 @@ def _channel_json(**changes):
     }
     data.update(changes)
     return json.dumps(data)
-
-
-_CSV_HEADER = "tone,antenna,real,imag,path_loss,distance\n"
 
 
 # file name -> (file text, what the error line must name)
@@ -173,15 +160,25 @@ _BAD_CHANNEL_FILES = {
     "zerodims.json": (_channel_json(n_tones=1, m_antennas=0),
                       "m_antennas must be an integer >= 1"),
     "list.json": ("[1, 2]", "'n_tones'"),
-    "short.csv": (_CSV_HEADER + "0,0,1\n", "entries[0]: 'imag' is missing"),
-    "frac.csv": (_CSV_HEADER + "0.5,0,1,0,263,2\n", "'tone'"),
-    "dup.csv": (_CSV_HEADER + "0,0,1,0,263,2\n0,0,1,0,263,2\n", "'entries'"),
-    "loss.csv": (_CSV_HEADER + "0,0,1,0,263,2\n0,1,1,0,999,2\n",
-                 "'path_loss' differs"),
-    "infloss.csv": (_CSV_HEADER + "0,0,1,0,inf,2\n", "path_loss"),
-    "infdist.csv": (_CSV_HEADER + "0,0,1,0,263,inf\n", "distance"),
     "infloss.json": (_channel_json(path_loss=float("inf")), "path_loss"),
-    "extra.csv": (_CSV_HEADER + "0,0,1,0,263,2,junk\n", "entries[0]"),
+    "nanloss.json": (_channel_json(path_loss=float("nan")), "path_loss"),
+    "infdist.json": (_channel_json(distance=float("inf")), "distance"),
+    "noimag.json": (_channel_json(entries=[
+        {"tone": 0, "antenna": 0, "real": 1.0},
+        {"tone": 0, "antenna": 1, "real": 2.0, "imag": 0.0},
+    ]), "entries[0]: 'imag' is missing"),
+    "fracantenna.json": (_channel_json(entries=[
+        {"tone": 0, "antenna": 0, "real": 1.0, "imag": 0.0},
+        {"tone": 0, "antenna": 0.5, "real": 2.0, "imag": 0.0},
+    ]), "entries[1]: 'antenna'"),
+    "missing.json": (_channel_json(entries=[
+        {"tone": 0, "antenna": 0, "real": 1.0, "imag": 0.0},
+    ]), "'entries': missing entries, 1 for 1 tones x 2 antennas"),
+    "extra.json": (_channel_json(entries=[
+        {"tone": 0, "antenna": 0, "real": 1.0, "imag": 0.0},
+        {"tone": 0, "antenna": 1, "real": 2.0, "imag": 0.0},
+        {"tone": 0, "antenna": 1, "real": 2.0, "imag": 0.0},
+    ]), "'entries': extra entries, 3 for 1 tones x 2 antennas"),
 }
 
 
@@ -196,6 +193,41 @@ class TestRejectedChannelFiles:
         assert captured.err.startswith("error:")
         assert field in captured.err
         assert captured.out == ""
+
+
+# A channel file as older versions wrote it for one tone and two antennas.
+_OLD_CHANNEL_CSV = (
+    "tone,antenna,real,imag,path_loss,distance\n"
+    "0,0,1,0,263,2\n"
+    "0,1,0.5,-0.5,263,2\n"
+)
+
+
+class TestNonJsonChannelFiles:
+    """A channel file must be UTF-8 JSON; anything else is one `error:` line
+    naming the path."""
+
+    @pytest.mark.parametrize(
+        "content",
+        [_OLD_CHANNEL_CSV.encode(), b"\xff\xfe{}"],
+        ids=["old-csv", "not-utf8"],
+    )
+    @pytest.mark.parametrize("command", ["zdc", "design"])
+    def test_exits_one_naming_the_path(self, tmp_path, capsys, command, content):
+        path = tmp_path / "chan.csv"
+        path.write_bytes(content)
+        weights = tmp_path / "w.json"
+        argv = [command, "--channel", str(path), "--scheme", "up"]
+        if command == "design":
+            argv += ["--out", str(weights)]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"error: {str(path)!r} is not a JSON channel file: "
+        )
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not weights.exists()
 
 
 _MEASUREMENT_HEADER = "scheme,n_tones,m_antennas,distance_m,p_dc\n"
@@ -359,6 +391,34 @@ class TestUnusableOut:
         assert captured.err == "error: " + message.format(tmp=tmp_path) + "\n"
         assert captured.out == ""
         assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize(
+        "argv, patched",
+        [
+            (["sweep", "--out", ""], "run_sweep"),
+            (["cdf", "--out", ""], "run_cdf"),
+            (["sweep", "--config", "{tmp}/run.cfg"], "run_sweep"),
+            (["cdf", "--config", "{tmp}/run.cfg"], "run_cdf"),
+            (["fit", "meas.csv", "--out", ""], "read_measurements_csv"),
+            (["paper-check", "--out", ""], "paper_check"),
+            (["design", "--channel", "ch.json", "--scheme", "up", "--out", ""],
+             "load_channel"),
+        ],
+        ids=["sweep", "cdf", "sweep-config", "cdf-config", "fit", "paper-check",
+             "design"],
+    )
+    def test_empty_out_rejected_before_any_work(
+        self, tmp_path, capsys, monkeypatch, argv, patched
+    ):
+        def work(*args):
+            raise AssertionError(f"{patched} was called")
+
+        monkeypatch.setattr(cli, patched, work)
+        (tmp_path / "run.cfg").write_text("realizations = 2\nout =\n")
+        assert cli.main([arg.format(tmp=tmp_path) for arg in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: out: must not be empty\n"
+        assert captured.out == ""
 
     def test_design_asks_for_out_before_reading_the_channel(self, tmp_path, capsys):
         argv = ["design", "--channel", str(tmp_path / "nope.json"), "--scheme", "up"]
@@ -982,5 +1042,5 @@ class TestReadmeMatchesProgram:
     def test_csv_headers_match_fields(self):
         section = self.README.split("### File formats", 1)[1].split("\n## ", 1)[0]
         headers = re.findall(r"`([a-z_]+(?:,[a-z_]+)+)`", section)
-        fields = [SWEEP_FIELDS, CDF_FIELDS, MEASUREMENT_FIELDS, CHANNEL_FIELDS]
+        fields = [SWEEP_FIELDS, CDF_FIELDS, MEASUREMENT_FIELDS]
         assert headers == [",".join(f) for f in fields]

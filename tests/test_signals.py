@@ -16,7 +16,6 @@ from wptsim.signals import (
     PrecoderWeights,
     ToneGrid,
     load_weights,
-    normalize_power,
     save_weights,
     synthesize_tx,
     tx_power,
@@ -167,36 +166,6 @@ class TestTxPower:
             avg = float(np.mean(np.sum(x**2, axis=1)))
             worst = max(worst, abs(avg - tx_power(weights)) / tx_power(weights))
         assert worst <= 1e-9
-
-
-class TestNormalize:
-    def test_worked_example(self):
-        weights = normalize_power(make_weights([[3.0, 4.0]]), 1.0)
-        np.testing.assert_allclose(
-            weights.w, np.sqrt(2.0) / 5.0 * np.array([[3.0, 4.0]]), rtol=1e-12
-        )
-
-    def test_sets_power_exactly(self):
-        rng = np.random.default_rng(5)
-        weights = make_weights(crandn(rng, (4, 3)))
-        for p in (0.25, 1.0, 7.5):
-            assert tx_power(normalize_power(weights, p)) == pytest.approx(
-                p, rel=1e-12
-            )
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(6)
-        once = normalize_power(make_weights(crandn(rng, (3, 2))), 2.0)
-        twice = normalize_power(once, 2.0)
-        np.testing.assert_allclose(twice.w, once.w, rtol=1e-12)
-
-    def test_all_zero_rejected(self):
-        with pytest.raises(ValueError, match="all-zero"):
-            normalize_power(make_weights([[0.0, 0.0]]), 1.0)
-
-    def test_rejects_non_positive_target(self):
-        with pytest.raises(ValueError):
-            normalize_power(make_weights([[1.0]]), 0.0)
 
 
 class TestReceivedSignal:

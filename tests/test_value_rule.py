@@ -27,7 +27,6 @@ from wptsim.signals import (
     ToneGrid,
     frozen_complex,
     integer_at_least,
-    normalize_power,
     positive_finite,
 )
 
@@ -44,7 +43,6 @@ CALLS = {
     "design_up": ("p", lambda v: design_up(CHANNEL, v)),
     "design_smf/p": ("p", lambda v: design_smf(CHANNEL, v)),
     "design_smf/beta": ("beta", lambda v: design_smf(CHANNEL, 1.0, beta=v)),
-    "normalize_power": ("p", lambda v: normalize_power(WEIGHTS, v)),
     "scaling_law_ca/path_loss": (
         "path_loss", lambda v: scaling_law_ca(PARAMS, v, 1.0, 8, 2)
     ),
