@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .signals import ToneGrid, entries_from_json, entries_to_json, read_field
-from .signals import frozen_complex, integer_at_least, positive_finite
+from .signals import frozen_complex, integer_at_least, load_json, positive_finite
 
 DEFAULT_PATH_LOSS_REF = 263.0
 DEFAULT_PATH_LOSS_EXPONENT = 1.55
@@ -412,10 +412,5 @@ def save_channel(channel: ChannelRealization, path: str) -> None:
 
 def load_channel(path: str) -> ChannelRealization:
     """Inverse of `save_channel`.  A file that is not UTF-8 JSON, such as a
-    channel CSV of older versions, is rejected naming `path`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-            raise ValueError(f"{path!r} is not a JSON channel file: {exc}") from None
-    return channel_from_json(data)
+    channel CSV of older versions, is rejected naming `path` (`load_json`)."""
+    return channel_from_json(load_json(path, "channel"))

@@ -1,5 +1,6 @@
 """Simulated channel-state acquisition, every setting from one `CsiConfig`:
-pilot LS estimates, quantization, and the acquire-design-harvest frame loop.
+unit-pilot LS estimates, quantization, and the acquire-design-harvest frame
+loop.
 
 The loop mirrors how an adaptive transmitter actually operates: it never
 sees the true channel, only a least-squares estimate corrupted by receiver
@@ -20,7 +21,7 @@ import numpy as np
 from .channel import ChannelRealization, seed_array, unit_normals
 from .design import ChannelScaleError, DesignScheme, apply_design, effective_channel
 from .rectifier import RectifierParams, received_tones, z_dc
-from .signals import ToneGrid, frozen_complex, integer_at_least, positive_finite
+from .signals import ToneGrid, frozen_complex, integer_at_least
 
 # The quantizer's level count 2.0**bits overflows a float above this.
 MAX_QUANT_BITS = np.finfo(float).maxexp - 1
@@ -39,55 +40,46 @@ def check_quant_bits(bits: int) -> None:
 class CsiConfig:
     """Acquisition settings for one feedback frame.
 
-    `quant_bits_per_component` counts bits per real and per imaginary part
-    of each coefficient (the default 8 + 8 matches a 16-bit feedback word),
-    bounded by `check_quant_bits`; None disables quantization.  Acquisition
-    takes `acquisition_time`, in [0, frame_length), of each frame; the
-    default 0 leaves a duty factor of exactly 1.
+    The estimate error of each coefficient is CN(0, `noise_variance`), the
+    noise of a unit pilot.  `quant_bits_per_component` counts bits per real
+    and per imaginary part of each coefficient (the default 8 + 8 matches a
+    16-bit feedback word), bounded by `check_quant_bits`; None disables
+    quantization.  Acquisition takes `acquisition_time`, a fraction of the
+    frame in [0, 1); the default 0 leaves a duty factor of exactly 1.
     """
 
-    pilot_amplitude: float = 1.0
     noise_variance: float = 0.0
     quant_bits_per_component: int | None = 8
-    frame_length: float = 1.0
     acquisition_time: float = 0.0
 
     def __post_init__(self) -> None:
-        # numpy divides by a complex pilot through its reciprocal, which a
-        # subnormal pilot overflows.
-        if not np.finfo(float).tiny <= self.pilot_amplitude < np.inf:
-            raise ValueError(
-                f"pilot_amplitude must be at least {np.finfo(float).tiny:g} "
-                "and finite"
-            )
         if not 0 <= self.noise_variance < np.inf:
             raise ValueError("noise_variance must be >= 0 and finite")
         if self.quant_bits_per_component is not None:
             check_quant_bits(self.quant_bits_per_component)
-        positive_finite(frame_length=self.frame_length)
-        if not 0 <= self.acquisition_time < self.frame_length:
-            raise ValueError("acquisition_time must be >= 0 and below frame_length")
+        if not 0 <= self.acquisition_time < 1:
+            raise ValueError("acquisition_time must be >= 0 and below 1")
 
     @property
     def duty_factor(self) -> float:
         """Fraction of the frame left for power delivery."""
-        return (self.frame_length - self.acquisition_time) / self.frame_length
+        return 1.0 - self.acquisition_time
 
 
 def ls_estimate(h: np.ndarray, noise_seed, cfg: CsiConfig) -> np.ndarray:
-    """Least-squares estimate (p * h + noise) / p of channel `h`, per entry.
+    """Least-squares estimate h + noise of channel `h` sounded by a unit pilot.
 
-    The pilot p = cfg.pilot_amplitude sounds every entry, and the noise is
-    CN(0, noise_variance).  `noise_seed` is one integer seed (the batch of
-    one), or an array-like of seeds matching the leading axes of `h`, each
-    of which draws the trailing block it indexes exactly as
-    `complex_normal(make_rng(seed), shape)` would; seeds must be integers
-    in [0, 2**64), the range `derive_seed` yields.  The draws come from
-    `unit_normals`, which re-keys the process's one Philox per seed.  The
-    unit draw is taken before scaling, so sweeping the variance with fixed
-    seeds reuses one noise direction.  Unbiased, with per-entry error
-    variance noise_variance / p**2.  An estimate that overflows raises
-    ValueError naming noise_variance and pilot_amplitude.
+    The noise is CN(0, noise_variance) per entry.  `noise_seed` is one
+    integer seed (the batch of one), or an array-like of seeds matching the
+    leading axes of `h`, each of which draws the trailing block it indexes
+    exactly as `complex_normal(make_rng(seed), shape)` would; seeds must be
+    integers in [0, 2**64), the range `derive_seed` yields.  The draws come
+    from `unit_normals`, which re-keys the process's one Philox per seed.
+    The unit draw is taken before scaling, so sweeping the variance with
+    fixed seeds reuses one noise direction.  A channel with a non-finite
+    entry raises ValueError; a finite one cannot overflow, since
+    sqrt(noise_variance) < 1.4e154 is far under half an ulp (1e292) of the
+    largest float.
     """
     h = np.asarray(h, dtype=np.complex128)
     seeds = seed_array(noise_seed, "noise_seed")
@@ -97,14 +89,9 @@ def ls_estimate(h: np.ndarray, noise_seed, cfg: CsiConfig) -> np.ndarray:
             f"axes of the channel shape {h.shape}"
         )
     unit = unit_normals(seeds, h.shape[seeds.ndim :])
-    pilot = complex(cfg.pilot_amplitude)
-    with np.errstate(over="ignore", invalid="ignore"):
-        estimate = (pilot * h + np.sqrt(cfg.noise_variance) * unit) / pilot
+    estimate = h + np.sqrt(cfg.noise_variance) * unit
     if not np.isfinite(estimate).all():
-        raise ValueError(
-            "the CSI estimate overflows: sqrt(noise_variance) / pilot_amplitude "
-            "or the received pilot (pilot_amplitude times the channel) is too large"
-        )
+        raise ValueError("h entries must be finite")
     return estimate
 
 
@@ -141,15 +128,15 @@ def csi_loop_zdc(
 ):
     """One acquire-design-harvest frame; returns the delivered DC output.
 
-    `ls_estimate` sounds every tone/antenna pair with the pilot amplitude of
-    `cfg`, and `quantize_csi` applies its bits unless they are None; the
+    `ls_estimate` sounds every tone/antenna pair with the noise of `cfg`,
+    and `quantize_csi` applies its bits unless they are None; the
     design is computed from the noisy, quantized LS estimate and then
     evaluated through the true channel.  For a batched `true_channel`,
     `seed` holds one noise seed per realization and the result is an array
     of per-realization outputs, each scaled by `cfg.duty_factor`.
     Degenerate estimates (for example all zeros) raise just as they would in
     the design itself; an estimate whose scale the design cannot normalise
-    raises ValueError naming noise_variance and pilot_amplitude.
+    raises ValueError naming noise_variance.
     """
     estimate = ls_estimate(true_channel.h, seed, cfg)
     if cfg.quant_bits_per_component is not None:
@@ -160,8 +147,7 @@ def csi_loop_zdc(
     except ChannelScaleError as exc:
         raise ValueError(
             f"{exc}; the CSI estimate is the channel plus noise of standard "
-            f"deviation sqrt(noise_variance) / pilot_amplitude (noise_variance "
-            f"= {cfg.noise_variance:g}, pilot_amplitude = {cfg.pilot_amplitude:g})"
+            f"deviation sqrt(noise_variance) (noise_variance = {cfg.noise_variance:g})"
         ) from None
     tones = received_tones(weights, effective_channel(scheme, true_channel))
     return z_dc(tones, params) * cfg.duty_factor

@@ -514,10 +514,8 @@ CONFIG_KEYS = {
     "k4": ("rectifier", "k4", _parse_finite),
     "r_ant": ("rectifier", "r_ant", _parse_finite),
     "csi_enabled": ("csi", "enabled", _parse_bool),
-    "pilot_amplitude": ("csi", "pilot_amplitude", _parse_finite),
     "noise_variance": ("csi", "noise_variance", _parse_finite),
     "quant_bits": ("csi", "quant_bits_per_component", int),
-    "frame_length": ("csi", "frame_length", _parse_finite),
     "acquisition_time": ("csi", "acquisition_time", _parse_finite),
 }
 

@@ -178,21 +178,21 @@ def tx_power(weights: PrecoderWeights):
 def read_field(record, key: str, kind: type = float):
     """record[key] as a float or an int, from a JSON value or CSV text.
 
-    Raises ValueError naming the key in place of KeyError or TypeError, and
-    for a fraction or a boolean where an integer is asked for.
+    Raises ValueError naming the key in place of KeyError or TypeError, for
+    a boolean, and for a fraction where an integer is asked for.
     """
     if not isinstance(record, dict):
         raise ValueError(f"expected a JSON object holding {key!r}")
     value = record.get(key)
     if value is None:
         raise ValueError(f"{key!r} is missing")
-    try:
-        if kind is float:
-            return float(value)
-        if not isinstance(value, bool):
+    if not isinstance(value, bool):
+        try:
+            if kind is float:
+                return float(value)
             return int(value) if isinstance(value, str) else operator.index(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
+        except (TypeError, ValueError, OverflowError):
+            pass
     expected = "a number" if kind is float else "an integer"
     raise ValueError(f"{key!r} must be {expected}, got {value!r:.40}")
 
@@ -299,6 +299,16 @@ def save_weights(weights: PrecoderWeights, path: str) -> None:
         fh.write("\n")
 
 
-def load_weights(path: str) -> PrecoderWeights:
+def load_json(path: str, kind: str):
+    """The JSON value in `path`.  A file that is not UTF-8 JSON raises one
+    ValueError naming `path` as not a JSON `kind` file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return weights_from_json(json.load(fh))
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            raise ValueError(f"{path!r} is not a JSON {kind} file: {exc}") from None
+
+
+def load_weights(path: str) -> PrecoderWeights:
+    """Inverse of `save_weights`; see `load_json` for a file that is not JSON."""
+    return weights_from_json(load_json(path, "weight"))

@@ -80,10 +80,9 @@ def reference_zdc(cfg, scheme, grid, m, distance, d_index, r):
         h = np.exp(-2j * np.pi * np.outer(grid.frequencies, model.tap_delays())) @ alpha
     believed = h
     if csi is not None:
-        pilot = np.full(h.shape, csi.pilot_amplitude, dtype=np.complex128)
         unit = complex_normal(make_rng(derive_seed(cfg.seed, 1, n, m, d_index, r)),
                               h.shape)
-        believed = (pilot * h + np.sqrt(csi.noise_variance) * unit) / pilot
+        believed = h + np.sqrt(csi.noise_variance) * unit
         x = max(np.max(np.abs(believed.real)), np.max(np.abs(believed.imag)))
         step = 2.0 * float(x) / (2.0**csi.quant_bits_per_component - 1.0)
         believed = (step * np.round(believed.real / step)

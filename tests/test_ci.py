@@ -3,6 +3,7 @@ and a short run of every benchmark workload on pinned versions."""
 
 import importlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -41,6 +42,49 @@ def test_tier1_job_runs_the_console_script_before_the_tests():
     step = "      - name: Console script\n        run: wptsim paper-check\n"
     assert job.index("      - name: Install\n") < job.index(step)
     assert job.index(step) < job.index("      - name: Tier-1 tests\n")
+
+
+def csi_step():
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load(WORKFLOW.read_text(encoding="utf-8"))
+    names = [step.get("name") for step in workflow["jobs"]["tier1"]["steps"]]
+    index = names.index("CSI console script")
+    assert names[index - 1] == "Console script"
+    return workflow["jobs"]["tier1"]["steps"][index]
+
+
+def run_csi_step(tmp_path, script):
+    """The step's script under GitHub's bash flags, `wptsim` standing for
+    this checkout's `python -m wptsim.cli`."""
+    shim = f'wptsim() {{ "{sys.executable}" -m wptsim.cli "$@"; }}\n'
+    src = str(ROOT / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "RUNNER_TEMP": str(tmp_path), "PYTHONPATH": path}
+    return subprocess.run(
+        ["bash", "--noprofile", "--norc", "-eo", "pipefail", "-c", shim + script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def test_tier1_job_runs_a_csi_sweep_and_rejects_a_removed_key(tmp_path):
+    step = csi_step()
+    assert step["shell"] == "bash"
+    proc = run_csi_step(tmp_path, step["run"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("scheme,n_tones,m_antennas,distance_m,")
+    assert proc.stdout.rstrip().endswith("error: unknown config key 'pilot_amplitude'")
+    cfg = (tmp_path / "csi.cfg").read_text(encoding="utf-8")
+    for line in ("schemes = mrt", "tones = 1", "realizations = 2", "csi_enabled = true",
+                 "noise_variance = 1e-3", "acquisition_time = 0.08"):
+        assert f"{line}\n" in cfg
+
+
+def test_csi_step_fails_when_the_removed_key_runs(tmp_path):
+    # The step must not pass if the sweep accepts pilot_amplitude.
+    script = csi_step()["run"].replace(
+        "echo 'pilot_amplitude = 1'", "echo 'seed = 1'"
+    )
+    assert run_csi_step(tmp_path, script).returncode != 0
 
 
 def test_console_script_resolves_to_cli_main():

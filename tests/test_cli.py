@@ -163,6 +163,12 @@ _BAD_CHANNEL_FILES = {
     "infloss.json": (_channel_json(path_loss=float("inf")), "path_loss"),
     "nanloss.json": (_channel_json(path_loss=float("nan")), "path_loss"),
     "infdist.json": (_channel_json(distance=float("inf")), "distance"),
+    "boolloss.json": (_channel_json(path_loss=True, distance=True),
+                      "'path_loss' must be a number, got True"),
+    "boolreal.json": (_channel_json(entries=[
+        {"tone": 0, "antenna": 0, "real": True, "imag": False},
+        {"tone": 0, "antenna": 1, "real": 2.0, "imag": 0.0},
+    ]), "entries[0]: 'real' must be a number, got True"),
     "noimag.json": (_channel_json(entries=[
         {"tone": 0, "antenna": 0, "real": 1.0},
         {"tone": 0, "antenna": 1, "real": 2.0, "imag": 0.0},
@@ -613,29 +619,6 @@ class TestOverflowingSettings:
         assert captured.out == ""
 
     @pytest.mark.parametrize(
-        "lines, key",
-        [
-            ("pilot_amplitude = 1e-320\n", "pilot_amplitude"),
-            ("pilot_amplitude = 1e-300\nnoise_variance = 1e20\n", "noise_variance"),
-            ("pilot_amplitude = 1e308\n", "noise_variance"),
-        ],
-        ids=["subnormal-pilot", "overflowing-estimate", "overflowing-received-pilot"],
-    )
-    def test_csi_estimate_overflow_is_one_error_line(
-        self, tmp_path, capsys, lines, key
-    ):
-        cfg = tmp_path / "run.cfg"
-        # 50 realizations draw channel entries large enough to overflow a
-        # 1e308 pilot.
-        cfg.write_text("realizations = 50\ncsi_enabled = true\n" + lines)
-        assert cli.main(["sweep", "--config", str(cfg)]) == 1
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error:")
-        assert key in captured.err and "pilot_amplitude" in captured.err
-        assert captured.err.count("\n") == 1
-        assert captured.out == ""
-
-    @pytest.mark.parametrize(
         "lines, message",
         [
             ("csi_enabled = true\nquant_bits = 1\n", "quant_bits must be an integer >= 2"),
@@ -773,14 +756,14 @@ class TestChannelScale:
         code, out, err = _wptsim("sweep", "--config", str(cfg), "--scheme", "smf")
         assert (code, out) == (1, "")
         assert err.startswith("error: cannot design: ") and err.count("\n") == 1
-        assert "noise_variance = 1e+300" in err and "pilot_amplitude" in err
+        assert "noise_variance = 1e+300" in err
 
 
 FLOAT_KEYS = [
     "power_budget", "beta", "f0", "band_limit",
     "delay_spread", "pdp_decay", "path_loss_ref", "path_loss_exponent",
     "k2", "k4", "r_ant",
-    "pilot_amplitude", "noise_variance", "frame_length", "acquisition_time",
+    "noise_variance", "acquisition_time",
 ]
 
 
@@ -816,6 +799,17 @@ class TestRemovedConfigKeys:
         assert cli.main(["sweep", "--config", str(cfg)]) == 1
         captured = capsys.readouterr()
         assert captured.err == "error: unknown config key 'account_acquisition_time'\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("key", ["pilot_amplitude", "frame_length"])
+    def test_removed_csi_key_is_rejected_by_name(self, tmp_path, capsys, key):
+        # Both settings are gone: noise_variance is the error variance of a
+        # unit pilot, and acquisition_time a share of the frame.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"realizations = 1\ncsi_enabled = true\n{key} = 1\n")
+        assert cli.main(["sweep", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: unknown config key {key!r}\n"
         assert captured.out == ""
 
 

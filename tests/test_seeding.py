@@ -128,20 +128,20 @@ class TestDeriveSeed:
         assert derive_seed(np.uint64(2**64 - 1), np.int8(3)) == derive_seed(2**64 - 1, 3)
 
 
-def per_index_reference(h, noise_seed, cfg):
-    """One `complex_normal(make_rng(seed))` draw per leading index, through
-    the arithmetic of an array filled with the pilot; None where it is not
-    finite."""
+def per_index_units(shape, noise_seed):
+    """One `complex_normal(make_rng(seed))` draw per leading index."""
     index_seeds = np.array(noise_seed, dtype=object)
-    unit = np.empty(h.shape, dtype=np.complex128)
+    unit = np.empty(shape, dtype=np.complex128)
     for index in np.ndindex(index_seeds.shape):
         unit[index] = complex_normal(
-            make_rng(index_seeds[index]), h.shape[index_seeds.ndim :]
+            make_rng(index_seeds[index]), shape[index_seeds.ndim :]
         )
-    pilot = np.full(h.shape, cfg.pilot_amplitude, dtype=np.complex128)
-    with np.errstate(over="ignore", invalid="ignore"):
-        estimate = (pilot * h + np.sqrt(cfg.noise_variance) * unit) / pilot
-    return estimate if np.isfinite(estimate).all() else None
+    return unit
+
+
+def per_index_reference(h, noise_seed, cfg):
+    """h plus sqrt(noise_variance) times `per_index_units`."""
+    return h + np.sqrt(cfg.noise_variance) * per_index_units(h.shape, noise_seed)
 
 
 def log_uniform(lo, hi):
@@ -151,7 +151,8 @@ def log_uniform(lo, hi):
 @st.composite
 def estimate_inputs(draw):
     """A channel of any scale with exact (signed) zero components, seeds for
-    its leading axes, and a pilot from the smallest normal float to 1e300."""
+    its leading axes, and a noise variance from 0 to 1e300 (the sum stays
+    finite)."""
     seed_shape = draw(st.sampled_from([(), (3,), (2, 3)]))
     n = draw(st.integers(1, 4))
     m = draw(st.integers(1, 3))
@@ -169,12 +170,6 @@ def estimate_inputs(draw):
         zero = rng.random(shape) < 0.3
         part[zero] = np.copysign(0.0, rng.standard_normal(shape))[zero]
     cfg = CsiConfig(
-        pilot_amplitude=draw(
-            st.one_of(
-                st.sampled_from([np.finfo(float).tiny, 1e-300, 1.0, 1e300]),
-                log_uniform(-307, 300),
-            )
-        ),
         noise_variance=draw(
             st.one_of(st.sampled_from([0.0, 0.25]), log_uniform(-300, 300))
         ),
@@ -186,16 +181,26 @@ class TestLsEstimate:
     @settings(max_examples=200, deadline=None)
     @given(estimate_inputs())
     def test_equals_per_index_reference(self, inputs):
-        # A scalar pilot takes numpy's complex multiply and divide exactly
-        # as an array filled with it does, signed zeros and overflow included.
+        # Bit for bit, signed zeros included, for scalar and block seeds.
         h, noise_seed, cfg = inputs
         expected = per_index_reference(h, noise_seed, cfg)
-        if expected is None:
-            with pytest.raises(ValueError, match="overflows"):
-                ls_estimate(h, noise_seed, cfg)
-        else:
-            estimate = ls_estimate(h, noise_seed, cfg)
-            assert np.array_equal(estimate.view(np.uint64), expected.view(np.uint64))
+        estimate = ls_estimate(h, noise_seed, cfg)
+        assert np.array_equal(estimate.view(np.uint64), expected.view(np.uint64))
+
+    @settings(max_examples=100, deadline=None)
+    @given(estimate_inputs())
+    def test_unit_pilot_keeps_the_old_pilot_form(self, inputs):
+        # The removed pilot_amplitude was 1 wherever it was used, and the
+        # estimate was (p * h + noise) / p with p = 1 + 0j.  Its values are
+        # kept; only with no noise can the sign of an exact zero differ.
+        h, noise_seed, cfg = inputs
+        unit = per_index_units(h.shape, noise_seed)
+        pilot = complex(1.0)
+        old = (pilot * h + np.sqrt(cfg.noise_variance) * unit) / pilot
+        estimate = ls_estimate(h, noise_seed, cfg)
+        assert np.array_equal(estimate, old)
+        if cfg.noise_variance > 0.0:
+            assert np.array_equal(estimate.view(np.uint64), old.view(np.uint64))
 
     def test_uint64_seed_array(self):
         h = np.ones((2, 3, 2), dtype=np.complex128)

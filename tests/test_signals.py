@@ -266,10 +266,13 @@ class TestWeightsIo:
             (lambda d: d.update(f0=float("nan")), "f0 must"),
             (lambda d: d.update(delta_f=float("inf")), "delta_f must"),
             (lambda d: d.update(delta_f=float("nan")), "delta_f must"),
+            (lambda d: d.update(f0=True, delta_f=True),
+             "'f0' must be a number, got True"),
+            (lambda d: d.update(delta_f=True), "'delta_f' must be a number, got True"),
         ],
         ids=["huge-antenna", "duplicate", "fractional", "boolean", "inf", "no-f0",
              "not-a-list", "inf-f0", "overflow-f0", "nan-f0", "inf-delta_f",
-             "nan-delta_f"],
+             "nan-delta_f", "boolean-grid", "boolean-delta_f"],
     )
     def test_bad_files_rejected_naming_the_field(self, edit, field):
         data = weights_to_json(make_weights(np.ones((2, 2))))
@@ -280,3 +283,16 @@ class TestWeightsIo:
     def test_non_object_rejected(self):
         with pytest.raises(ValueError, match="JSON object"):
             weights_from_json([])
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"f0,delta_f,n_tones\n2.4e9,1e6,2\n", b"\xff\xfe{}"],
+        ids=["csv", "not-utf8"],
+    )
+    def test_non_json_file_is_one_error_naming_the_path(self, tmp_path, content):
+        path = tmp_path / "weights.csv"
+        path.write_bytes(content)
+        with pytest.raises(ValueError) as err:
+            load_weights(str(path))
+        assert type(err.value) is ValueError
+        assert str(err.value).startswith(f"{str(path)!r} is not a JSON weight file: ")
