@@ -15,8 +15,9 @@ seeded CN(0, 1) draw, channel taps and CSI noise alike, goes through
 of building a generator per seed; `make_rng` and `complex_normal` stay as
 the reference definitions it reproduces bit for bit.
 
-A realization is stored in one file format, JSON (`save_channel` and
-`load_channel`), which replays it bit for bit.
+A realization is its response `h` and its path loss: distance enters only
+through `path_loss`.  It is stored in one file format, JSON (`save_channel`
+and `load_channel`), which replays it bit for bit.
 """
 
 from __future__ import annotations
@@ -284,18 +285,17 @@ class ChannelRealization:
     """Frequency response h[..., n, m] for tone n, antenna m.
 
     Leading axes of `h` index independent realizations that share one path
-    loss and distance; a 2-D `h` is a single realization.
+    loss; a 2-D `h` is a single realization.
     """
 
     h: np.ndarray
     path_loss: float
-    distance: float
 
     def __post_init__(self) -> None:
         h = frozen_complex(self.h, "h", ("n_tones", "m_antennas"))
         if h.shape[-2] < 1 or h.shape[-1] < 1:
             raise ValueError("h must have at least one tone and one antenna")
-        positive_finite(path_loss=self.path_loss, distance=self.distance)
+        positive_finite(path_loss=self.path_loss)
         object.__setattr__(self, "h", h)
 
     @property
@@ -378,16 +378,13 @@ def sample_channel(
     alpha = unit_normals(seed, (amplitudes.shape[0], m_antennas))
     alpha *= amplitudes
     h = steering @ alpha
-    return ChannelRealization(
-        h=h, path_loss=path_loss(model, distance), distance=distance
-    )
+    return ChannelRealization(h=h, path_loss=path_loss(model, distance))
 
 
 def channel_to_json(channel: ChannelRealization) -> dict:
     """JSON-ready dict form; floats carry full precision for exact replay."""
     return {
         "path_loss": channel.path_loss,
-        "distance": channel.distance,
         "n_tones": channel.n_tones,
         "m_antennas": channel.m_antennas,
         "entries": entries_to_json(channel.h),
@@ -395,11 +392,12 @@ def channel_to_json(channel: ChannelRealization) -> dict:
 
 
 def channel_from_json(data: dict) -> ChannelRealization:
+    """Inverse of `channel_to_json`; other keys, such as the `distance` that
+    older versions wrote, are ignored."""
     dims = read_field(data, "n_tones", int), read_field(data, "m_antennas", int)
     return ChannelRealization(
         h=entries_from_json(data.get("entries"), *dims),
         path_loss=read_field(data, "path_loss"),
-        distance=read_field(data, "distance"),
     )
 
 

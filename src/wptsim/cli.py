@@ -38,7 +38,7 @@ from .harness import (
     sweep_to_csv,
 )
 from .rectifier import RectifierParams, received_tones, z_dc
-from .signals import save_weights
+from .signals import ToneGrid, save_weights
 
 _EXIT_OK = 0
 _EXIT_INVALID = 1
@@ -76,7 +76,9 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
 def _design_for_channel(args: argparse.Namespace):
     scheme = DesignScheme(args.scheme, args.power, args.beta)
     channel = load_channel(args.channel)
-    return scheme, channel, apply_design(scheme, channel)
+    # A channel file holds no tone grid: it is designed on the default band.
+    grid = ToneGrid.for_band(channel.n_tones)
+    return scheme, channel, apply_design(scheme, channel, grid)
 
 
 def _cmd_design(args: argparse.Namespace) -> int:

@@ -9,7 +9,8 @@ evaluated through the true channel.
 
 Like the design and rectifier layers, everything here works on the last two
 axes of the channel array; leading axes are independent realizations, each
-with its own noise seed.
+with its own noise seed.  The frame loop designs on the tone grid it is
+given, as `apply_design` does.
 """
 
 from __future__ import annotations
@@ -124,19 +125,20 @@ def csi_loop_zdc(
     cfg: CsiConfig,
     params: RectifierParams,
     seed,
-    grid: ToneGrid | None = None,
+    grid: ToneGrid,
 ):
     """One acquire-design-harvest frame; returns the delivered DC output.
 
     `ls_estimate` sounds every tone/antenna pair with the noise of `cfg`,
-    and `quantize_csi` applies its bits unless they are None; the
-    design is computed from the noisy, quantized LS estimate and then
-    evaluated through the true channel.  For a batched `true_channel`,
-    `seed` holds one noise seed per realization and the result is an array
-    of per-realization outputs, each scaled by `cfg.duty_factor`.
+    and `quantize_csi` applies its bits unless they are None; the design is
+    computed on `grid` (`apply_design`) from the noisy, quantized LS
+    estimate and then evaluated through the true channel.  For a batched
+    `true_channel`, `seed` holds one noise seed per realization and the
+    result is an array of per-realization outputs, each scaled by
+    `cfg.duty_factor`.
     Degenerate estimates (for example all zeros) raise just as they would in
     the design itself; an estimate whose scale the design cannot normalise
-    raises ValueError naming noise_variance.
+    raises ValueError that also names noise_variance.
     """
     estimate = ls_estimate(true_channel.h, seed, cfg)
     if cfg.quant_bits_per_component is not None:

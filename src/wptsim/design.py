@@ -7,7 +7,8 @@ across tones and antennas.  Every design radiates exactly its power budget.
 
 Designs work on the last two axes of the channel array, so a batch of
 realizations (leading axes of ``h``) is designed in one call and a single
-realization is the batch of one.  A channel too large or too small for the
+realization is the batch of one.  Each design takes the tone grid it designs
+on; none has a default.  A channel too large or too small for the
 norm arithmetic raises ChannelScaleError, never zero or non-finite weights.
 """
 
@@ -61,28 +62,24 @@ class DesignScheme:
             positive_finite(beta=self.beta)
 
 
-def _resolve_grid(channel: ChannelRealization, grid: ToneGrid | None) -> ToneGrid:
-    if grid is None:
-        return ToneGrid.for_band(channel.n_tones)
-    if grid.n_tones != channel.n_tones:
-        raise ValueError(
-            f"grid has {grid.n_tones} tones but the channel has {channel.n_tones}"
-        )
-    return grid
-
-
 class ChannelScaleError(ValueError):
     """A channel too large or too small in scale for a design's arithmetic."""
 
 
 def _check_weights(
-    norms: np.ndarray, scale: np.ndarray, w: np.ndarray, h: np.ndarray, action: str
+    norms: np.ndarray,
+    scale: np.ndarray,
+    w: np.ndarray,
+    h: np.ndarray,
+    action: str,
+    inputs: str = "this power budget",
 ) -> None:
     """Raise unless weights `w`, normalised by `scale` from the `norms` of h
     over its last axis, radiate the power budget: a realization whose
     entries are all zero raises ValueError; a norm that overflows, a norm
     that underflows to 0 on nonzero entries, or a scale that is not positive
-    and finite (zero or non-finite weights) raises ChannelScaleError."""
+    and finite (zero or non-finite weights) raises ChannelScaleError, the
+    last naming the other `inputs` of the normalisation."""
     zero = norms == 0.0
     underflow = zero.any() and h[zero].any()
     if zero.all(axis=-1).any() and not underflow:
@@ -92,9 +89,7 @@ def _check_weights(
     elif underflow:
         problem = "the norm of a nonzero channel underflows to 0"
     elif not ((scale > 0.0).all() and np.isfinite(w).all()):
-        problem = (
-            "the power normalisation is not positive and finite for this power budget"
-        )
+        problem = f"the power normalisation is not positive and finite for {inputs}"
     else:
         return
     raise ChannelScaleError(
@@ -104,23 +99,20 @@ def _check_weights(
 
 
 def design_cw(
-    p: float, grid: ToneGrid | None = None, batch_shape: tuple[int, ...] = ()
+    p: float, grid: ToneGrid, batch_shape: tuple[int, ...] = ()
 ) -> PrecoderWeights:
     """Single tone, single antenna, amplitude sqrt(2 p), zero phase.
 
-    The weights have shape ``(*batch_shape, 1, 1)``.
+    The weights have shape ``(*batch_shape, 1, 1)``, so `grid` must have one
+    tone.
     """
     check_power_budget(p, "p")
-    if grid is None:
-        grid = ToneGrid.for_band(1)
-    if grid.n_tones != 1:
-        raise ValueError("CW uses a single-tone grid")
     w = np.full((*batch_shape, 1, 1), math.sqrt(2.0 * p), dtype=np.complex128)
     return PrecoderWeights(w, grid)
 
 
 def design_mrt(
-    channel: ChannelRealization, p: float, grid: ToneGrid | None = None
+    channel: ChannelRealization, p: float, grid: ToneGrid
 ) -> PrecoderWeights:
     """Single-tone conjugate beamformer: w = sqrt(2 p) conj(h) / ||h||.
 
@@ -141,12 +133,10 @@ def design_mrt(
         scale = math.sqrt(2.0 * p) / norms
         w = scale[..., None] * np.conj(h)
     _check_weights(norms, scale, w, h, "beamform")
-    return PrecoderWeights(w, _resolve_grid(channel, grid))
+    return PrecoderWeights(w, grid)
 
 
-def design_up(
-    channel: ChannelRealization, p: float, grid: ToneGrid | None = None
-) -> PrecoderWeights:
+def design_up(channel: ChannelRealization, p: float, grid: ToneGrid) -> PrecoderWeights:
     """Uniform-power multisine: equal amplitudes, channel-conjugate phases.
 
     Every entry has amplitude sqrt(2 p / (N M)); entry (n, m) carries the
@@ -155,14 +145,14 @@ def design_up(
     check_power_budget(p, "p")
     amp = math.sqrt(2.0 * p / (channel.n_tones * channel.m_antennas))
     w = amp * np.exp(-1j * channel.phases)
-    return PrecoderWeights(w, _resolve_grid(channel, grid))
+    return PrecoderWeights(w, grid)
 
 
 def design_smf(
     channel: ChannelRealization,
     p: float,
+    grid: ToneGrid,
     beta: float = DEFAULT_BETA,
-    grid: ToneGrid | None = None,
 ) -> PrecoderWeights:
     """Scaled matched filter: per-tone MRT with amplitude emphasis beta.
 
@@ -173,8 +163,9 @@ def design_smf(
 
     A tone norm that overflows, or underflows to 0 on nonzero entries, and a
     normalisation sqrt(2 p / sum_n ||h_n||^(2 beta)) that is not positive
-    and finite raise ChannelScaleError; a realization whose tones are all
-    zero raises ValueError.
+    and finite raise ChannelScaleError, the last naming beta, whose power
+    can over- or underflow the sum; a realization whose tones are all zero
+    raises ValueError.
     """
     check_power_budget(p, "p")
     positive_finite(beta=beta)
@@ -185,8 +176,10 @@ def design_smf(
         shape[alive] = norms[alive][:, None] ** (beta - 1.0) * np.conj(channel.h[alive])
         scale = np.sqrt(2.0 * p / np.sum(norms ** (2.0 * beta), axis=-1))
         w = scale[..., None, None] * shape
-    _check_weights(norms, scale, w, channel.h, "design")
-    return PrecoderWeights(w, _resolve_grid(channel, grid))
+    _check_weights(
+        norms, scale, w, channel.h, "design", f"this power budget and beta = {beta:g}"
+    )
+    return PrecoderWeights(w, grid)
 
 
 def effective_channel(
@@ -204,16 +197,18 @@ def effective_channel(
 
 
 def apply_design(
-    scheme: DesignScheme,
-    channel: ChannelRealization,
-    grid: ToneGrid | None = None,
+    scheme: DesignScheme, channel: ChannelRealization, grid: ToneGrid
 ) -> PrecoderWeights:
-    """Design weights for `scheme` from a channel realization.
+    """Design weights for `scheme` from a channel realization on `grid`, which
+    must have the channel's tone count.
 
-    `grid` defaults to `ToneGrid.for_band(channel.n_tones)`.  CW sends tone 0
-    of it; pair its weights with `effective_channel` when evaluating reception.
+    CW sends tone 0 of `grid`; pair its weights with `effective_channel` when
+    evaluating reception.
     """
-    grid = _resolve_grid(channel, grid)
+    if grid.n_tones != channel.n_tones:
+        raise ValueError(
+            f"grid has {grid.n_tones} tones but the channel has {channel.n_tones}"
+        )
     if scheme.kind == CW:
         grid = replace(grid, n_tones=1)
         return design_cw(scheme.power_budget, grid, channel.h.shape[:-2])
@@ -221,4 +216,4 @@ def apply_design(
         return design_mrt(channel, scheme.power_budget, grid)
     if scheme.kind == UP:
         return design_up(channel, scheme.power_budget, grid)
-    return design_smf(channel, scheme.power_budget, scheme.beta, grid)
+    return design_smf(channel, scheme.power_budget, grid, scheme.beta)

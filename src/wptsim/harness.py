@@ -228,19 +228,27 @@ def _zdc_ensemble(
     return values
 
 
-def _cells(cfg: ExperimentConfig):
-    """Sweep cells in output order: lexicographic (scheme, N, M, distance).
+def _ensembles(cfg: ExperimentConfig):
+    """Each cell's name, (scheme, N, M, distance) and realizations, in output
+    order: lexicographic (scheme, N, M, distance).
 
     The distance index used for seed derivation is the position in the
     sorted deduplicated grid, so the ensemble is independent of listing
-    order in the config.
+    order in the config.  An error inside a cell is raised prefixed with its
+    name, as in "smf N=1 M=1 d=1: ...".
     """
     unique_distances = sorted(set(cfg.distances))
     for scheme_name in sorted(set(cfg.schemes)):
         for n_tones in sorted(set(cfg.tone_counts)):
             for m_antennas in sorted(set(cfg.antenna_counts)):
                 for d_index, distance in enumerate(unique_distances):
-                    yield scheme_name, n_tones, m_antennas, distance, d_index
+                    cell = (scheme_name, n_tones, m_antennas, distance)
+                    name = f"{scheme_name} N={n_tones} M={m_antennas} d={distance:g}"
+                    try:
+                        values = _zdc_ensemble(cfg, *cell, d_index)
+                    except ValueError as exc:
+                        raise ValueError(f"{name}: {exc}") from None
+                    yield name, cell, values
 
 
 def run_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
@@ -253,25 +261,15 @@ def run_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     """
     cfg.validate()
     rows = []
-    for scheme_name, n_tones, m_antennas, distance, d_index in _cells(cfg):
-        values = _zdc_ensemble(cfg, scheme_name, n_tones, m_antennas, distance, d_index)
+    for name, cell, values in _ensembles(cfg):
         with np.errstate(over="ignore", invalid="ignore"):
             zdc_mean, zdc_std = float(values.mean()), float(values.std())
         if not (np.isfinite(zdc_mean) and np.isfinite(zdc_std)):
             raise ValueError(
-                f"{scheme_name} N={n_tones} M={m_antennas} d={distance:g}: zdc_mean "
-                "or zdc_std overflows; it grows with power_budget, k2, k4 and r_ant"
+                f"{name}: zdc_mean or zdc_std overflows; it grows with "
+                "power_budget, k2, k4 and r_ant"
             )
-        rows.append(
-            SweepRow(
-                scheme=scheme_name,
-                n_tones=n_tones,
-                m_antennas=m_antennas,
-                distance=distance,
-                zdc_mean=zdc_mean,
-                zdc_std=zdc_std,
-            )
-        )
+        rows.append(SweepRow(*cell, zdc_mean=zdc_mean, zdc_std=zdc_std))
     return rows
 
 
@@ -319,9 +317,8 @@ def run_cdf(cfg: ExperimentConfig) -> list[CdfCurve]:
     """
     cfg.validate()
     curves: dict[tuple[str, int, int], list[np.ndarray]] = {}
-    for scheme_name, n_tones, m_antennas, distance, d_index in _cells(cfg):
-        values = _zdc_ensemble(cfg, scheme_name, n_tones, m_antennas, distance, d_index)
-        curves.setdefault((scheme_name, n_tones, m_antennas), []).append(values)
+    for _, cell, values in _ensembles(cfg):
+        curves.setdefault(cell[:3], []).append(values)
     return [
         CdfCurve(*key, values=np.sort(np.concatenate(curves[key])))
         for key in sorted(curves)

@@ -69,9 +69,7 @@ def test_criterion_01_rectifier_oracle_equivalence():
         q0 = int(rng.integers(16, 65))
         grid = ToneGrid(f0=q0 * 1e6, delta_f=1e6, n_tones=n)
         h = complex_normal(rng, (n, m))
-        channel = ChannelRealization(
-            h=h, path_loss=float(rng.uniform(0.5, 4.0)), distance=1.0
-        )
+        channel = ChannelRealization(h=h, path_loss=float(rng.uniform(0.5, 4.0)))
         p = float(rng.uniform(0.001, 1.0))
         if i % 3 == 0:
             weights = design_up(channel, p, grid=grid)
@@ -121,9 +119,7 @@ def test_criterion_03_cw_fading_law_monte_carlo():
     h = complex_normal(rng, draws)
     total = 0.0
     for i in range(draws):
-        channel = ChannelRealization(
-            h=h[i : i + 1, np.newaxis], path_loss=1.0, distance=1.0
-        )
+        channel = ChannelRealization(h=h[i : i + 1, np.newaxis], path_loss=1.0)
         total += z_dc(received_tones(weights, channel), PARAMS)
     ratio = (total / draws) / scaling_law_ca(PARAMS, 1.0, p, 1, 1)
     elapsed = time.perf_counter() - start
@@ -146,7 +142,7 @@ def test_criterion_04_adaptive_law_trends():
         acc = 0.0
         for _ in range(20_000):
             h = complex_normal(rng, (1, m))
-            channel = ChannelRealization(h=h, path_loss=1.0, distance=1.0)
+            channel = ChannelRealization(h=h, path_loss=1.0)
             weights = design_mrt(channel, p, grid=grid)
             acc += PARAMS.k2 * PARAMS.r_ant * moment2(
                 received_tones(weights, channel)

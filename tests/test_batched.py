@@ -135,7 +135,7 @@ class TestDegenerateBlock:
     GRID = ToneGrid.for_band(2)
 
     def _scalar_error(self):
-        zero = ChannelRealization(np.zeros((2, 2), complex), 1.0, 1.0)
+        zero = ChannelRealization(np.zeros((2, 2), complex), 1.0)
         with pytest.raises(ValueError) as scalar:
             csi_loop_zdc(zero, self.SCHEME, CsiConfig(), PARAMS, 0, self.GRID)
         return str(scalar.value)
@@ -143,7 +143,7 @@ class TestDegenerateBlock:
     def test_zero_estimate_in_a_block_raises_like_the_scalar_path(self):
         h = np.ones((3, 2, 2), complex)
         h[1] = 0.0
-        block = ChannelRealization(h, path_loss=1.0, distance=1.0)
+        block = ChannelRealization(h, path_loss=1.0)
         with pytest.raises(ValueError) as batched:
             csi_loop_zdc(block, self.SCHEME, CsiConfig(), PARAMS, [0, 1, 2], self.GRID)
         assert str(batched.value) == self._scalar_error()
@@ -155,8 +155,7 @@ class TestDegenerateBlock:
             channel = real_sample(model, grid, m, seed, distance=distance)
             draws.append(seed)
             if len(draws) == harness.BLOCK_SIZE + 3:
-                return ChannelRealization(np.zeros_like(channel.h), channel.path_loss,
-                                          channel.distance)
+                return ChannelRealization(np.zeros_like(channel.h), channel.path_loss)
             return channel
 
         draws = []
@@ -182,7 +181,7 @@ def channel_batches(max_tones=8):
         entries = st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3)
         h = draw(hnp.arrays(np.complex128, (r, n, m), elements=entries))
         beta = draw(st.floats(0.25, 5.0))
-        return scheme, beta, ChannelRealization(h, path_loss=263.0, distance=1.0)
+        return scheme, beta, ChannelRealization(h, path_loss=263.0)
 
     return build()
 
@@ -208,8 +207,9 @@ class TestBatchedProperties:
     @given(channel_batches(max_tones=1), st.floats(1e-3, 10.0))
     def test_smf_on_one_tone_is_mrt(self, case, budget):
         _, beta, channel = case
-        smf = design_smf(channel, budget, beta=beta)
-        mrt = design_mrt(channel, budget)
+        grid = ToneGrid.for_band(1)
+        smf = design_smf(channel, budget, grid, beta=beta)
+        mrt = design_mrt(channel, budget, grid)
         np.testing.assert_allclose(smf.w, mrt.w, rtol=1e-12)
 
     @settings(max_examples=60, deadline=None)
@@ -217,8 +217,7 @@ class TestBatchedProperties:
     def test_common_phase_rotation_leaves_zdc_unchanged(self, case, theta):
         kind, beta, channel = case
         scheme = DesignScheme(kind=kind, beta=beta)
-        rotated = ChannelRealization(channel.h * np.exp(1j * theta),
-                                     channel.path_loss, channel.distance)
+        rotated = ChannelRealization(channel.h * np.exp(1j * theta), channel.path_loss)
         base = zdc_of(scheme, channel)
         assert base.shape == channel.h.shape[:1]
         np.testing.assert_allclose(zdc_of(scheme, rotated), base, rtol=1e-12)
@@ -227,8 +226,8 @@ class TestBatchedProperties:
 class TestShapes:
     def test_single_reception_gives_a_float_and_a_batch_an_array(self):
         h = np.ones((3, 2, 4), complex)
-        block = ChannelRealization(h, path_loss=4.0, distance=1.0)
-        single = ChannelRealization(h[0], path_loss=4.0, distance=1.0)
+        block = ChannelRealization(h, path_loss=4.0)
+        single = ChannelRealization(h[0], path_loss=4.0)
         scheme = DesignScheme(kind="up")
         assert type(zdc_of(scheme, single)) is float
         assert zdc_of(scheme, block).shape == (3,)
@@ -239,7 +238,7 @@ class TestShapes:
         tones = rectifier.ReceivedTones(np.ones((3, 2), complex), grid)
         with pytest.raises(ValueError, match="single realization"):
             rectifier.z_dc_time_oracle(tones, PARAMS)
-        block = ChannelRealization(np.ones((3, 2, 1), complex), 1.0, 1.0)
+        block = ChannelRealization(np.ones((3, 2, 1), complex), 1.0)
         with pytest.raises(ValueError, match="single realization"):
             channel_to_json(block)
 

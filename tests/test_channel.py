@@ -1,5 +1,6 @@
 """Channel models: path loss, sampling statistics, determinism, replay."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -77,7 +78,7 @@ class TestModelValidation:
 class TestRealization:
     def test_amplitude_phase_recoverable(self):
         h = np.array([[0.3 - 0.4j, 1.0 + 2.0j]])
-        ch = ChannelRealization(h=h, path_loss=2.0, distance=1.5)
+        ch = ChannelRealization(h=h, path_loss=2.0)
         np.testing.assert_allclose(
             np.abs(ch.h) * np.exp(1j * ch.phases), h, rtol=1e-12
         )
@@ -85,14 +86,19 @@ class TestRealization:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            dict(h=np.ones((1, 1), dtype=complex), path_loss=0.0, distance=1.0),
-            dict(h=np.ones((1, 1), dtype=complex), path_loss=1.0, distance=0.0),
-            dict(h=np.array([[np.nan + 0j]]), path_loss=1.0, distance=1.0),
+            dict(h=np.ones((1, 1), dtype=complex), path_loss=0.0),
+            dict(h=np.ones((1, 1), dtype=complex), path_loss=np.inf),
+            dict(h=np.array([[np.nan + 0j]]), path_loss=1.0),
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(ValueError):
             ChannelRealization(**kwargs)
+
+    def test_fields_are_what_the_designs_read(self):
+        # Distance reaches a realization only through its path loss.
+        names = [field.name for field in dataclasses.fields(ChannelRealization)]
+        assert names == ["h", "path_loss"]
 
 
 class TestSampling:
@@ -125,7 +131,6 @@ class TestSampling:
         model = ChannelModel(n_taps=1, path_loss_ref=263.0)
         ch = sample_channel(model, ToneGrid.for_band(1), 1, seed=5, distance=2.0)
         assert ch.path_loss == pytest.approx(263.0 * 2.0**1.55, rel=1e-12)
-        assert ch.distance == 2.0
 
     def test_rejects_bad_antenna_count(self):
         with pytest.raises(ValueError):
@@ -226,6 +231,23 @@ class TestSerialization:
         save_channel(ch, str(path))
         assert json.loads(path.read_text()) == channel_to_json(ch)
         np.testing.assert_array_equal(load_channel(str(path)).h, ch.h)
+
+    def test_file_holds_exactly_the_realization(self, tmp_path):
+        path = tmp_path / "chan.json"
+        save_channel(self._channel(), str(path))
+        keys = list(json.loads(path.read_text()))
+        assert keys == ["path_loss", "n_tones", "m_antennas", "entries"]
+
+    # Older versions also wrote the distance, which sets nothing a design reads.
+    @pytest.mark.parametrize("distance", [1.0, "inf", "far", None])
+    def test_legacy_distance_key_is_ignored(self, tmp_path, distance):
+        ch = self._channel()
+        path = tmp_path / "chan.json"
+        path.write_text(json.dumps({**channel_to_json(ch), "distance": distance}))
+        loaded = load_channel(str(path))
+        assert loaded.h.tobytes() == ch.h.tobytes()
+        assert loaded.path_loss == ch.path_loss
+        assert channel_to_json(loaded) == channel_to_json(ch)
 
     def test_missing_entries_rejected(self):
         ch = self._channel()

@@ -44,16 +44,21 @@ def test_tier1_job_runs_the_console_script_before_the_tests():
     assert job.index(step) < job.index("      - name: Tier-1 tests\n")
 
 
-def csi_step():
+def tier1_step(name, after):
+    """The tier1 job's step `name`, which must come right after `after`."""
     yaml = pytest.importorskip("yaml")
     workflow = yaml.safe_load(WORKFLOW.read_text(encoding="utf-8"))
     names = [step.get("name") for step in workflow["jobs"]["tier1"]["steps"]]
-    index = names.index("CSI console script")
-    assert names[index - 1] == "Console script"
+    index = names.index(name)
+    assert names[index - 1] == after
     return workflow["jobs"]["tier1"]["steps"][index]
 
 
-def run_csi_step(tmp_path, script):
+def csi_step():
+    return tier1_step("CSI console script", after="Console script")
+
+
+def run_step(tmp_path, script):
     """The step's script under GitHub's bash flags, `wptsim` standing for
     this checkout's `python -m wptsim.cli`."""
     shim = f'wptsim() {{ "{sys.executable}" -m wptsim.cli "$@"; }}\n'
@@ -69,7 +74,7 @@ def run_csi_step(tmp_path, script):
 def test_tier1_job_runs_a_csi_sweep_and_rejects_a_removed_key(tmp_path):
     step = csi_step()
     assert step["shell"] == "bash"
-    proc = run_csi_step(tmp_path, step["run"])
+    proc = run_step(tmp_path, step["run"])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("scheme,n_tones,m_antennas,distance_m,")
     assert proc.stdout.rstrip().endswith("error: unknown config key 'pilot_amplitude'")
@@ -84,7 +89,29 @@ def test_csi_step_fails_when_the_removed_key_runs(tmp_path):
     script = csi_step()["run"].replace(
         "echo 'pilot_amplitude = 1'", "echo 'seed = 1'"
     )
-    assert run_csi_step(tmp_path, script).returncode != 0
+    assert run_step(tmp_path, script).returncode != 0
+
+
+def channel_step():
+    return tier1_step("Channel file console script", after="CSI console script")
+
+
+def test_tier1_job_designs_on_a_channel_file_with_a_legacy_key(tmp_path):
+    step = channel_step()
+    assert step["shell"] == "bash"
+    proc = run_step(tmp_path, step["run"])
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) > 0
+    channel = json.loads((tmp_path / "chan.json").read_text(encoding="utf-8"))
+    assert channel["distance"] == 2.0
+    assert (channel["n_tones"], channel["m_antennas"]) == (2, 2)
+    weights = json.loads((tmp_path / "weights.json").read_text(encoding="utf-8"))
+    assert (weights["n_tones"], len(weights["entries"])) == (2, 4)
+
+
+def test_channel_step_fails_on_a_weight_file_of_another_tone_count(tmp_path):
+    script = channel_step()["run"].replace('["n_tones"] != 2', '["n_tones"] != 3')
+    assert run_step(tmp_path, script).returncode != 0
 
 
 def test_console_script_resolves_to_cli_main():

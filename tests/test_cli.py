@@ -82,8 +82,8 @@ class TestDesignAndZdc:
         assert np.sum(np.abs(weights.w) ** 2) / 2 == pytest.approx(0.5, rel=1e-9)
 
     def test_library_cw_weights_match_the_cli(self, tmp_path):
-        # Without a grid, apply_design resolves the channel's grid as the CLI
-        # does, and CW sends tone 0 of it.
+        # The CLI designs a channel file on the default band of its tone
+        # count, and CW sends tone 0 of that grid.
         ch = sample_channel(ChannelModel(), ToneGrid.for_band(8), 2, seed=21)
         channel_path, cli_out, lib_out = (
             str(tmp_path / name) for name in ("ch.json", "cli.json", "lib.json")
@@ -91,7 +91,9 @@ class TestDesignAndZdc:
         save_channel(ch, channel_path)
         argv = ["design", "--channel", channel_path, "--scheme", "cw", "--out", cli_out]
         assert cli.main(argv) == 0
-        weights = apply_design(DesignScheme("cw"), load_channel(channel_path))
+        loaded = load_channel(channel_path)
+        grid = ToneGrid.for_band(loaded.n_tones)
+        weights = apply_design(DesignScheme("cw"), loaded, grid)
         save_weights(weights, lib_out)
         assert Path(lib_out).read_bytes() == Path(cli_out).read_bytes()
 
@@ -124,7 +126,6 @@ class TestDesignAndZdc:
 def _channel_json(**changes):
     data = {
         "path_loss": 263.0,
-        "distance": 2.0,
         "n_tones": 1,
         "m_antennas": 2,
         "entries": [
@@ -162,8 +163,7 @@ _BAD_CHANNEL_FILES = {
     "list.json": ("[1, 2]", "'n_tones'"),
     "infloss.json": (_channel_json(path_loss=float("inf")), "path_loss"),
     "nanloss.json": (_channel_json(path_loss=float("nan")), "path_loss"),
-    "infdist.json": (_channel_json(distance=float("inf")), "distance"),
-    "boolloss.json": (_channel_json(path_loss=True, distance=True),
+    "boolloss.json": (_channel_json(path_loss=True),
                       "'path_loss' must be a number, got True"),
     "boolreal.json": (_channel_json(entries=[
         {"tone": 0, "antenna": 0, "real": True, "imag": False},
@@ -199,6 +199,25 @@ class TestRejectedChannelFiles:
         assert captured.err.startswith("error:")
         assert field in captured.err
         assert captured.out == ""
+
+
+class TestLegacyDistanceKey:
+    """Older versions wrote a `distance` key, which sets nothing a design
+    reads: a file holding it designs and evaluates as one without it."""
+
+    @pytest.mark.parametrize("distance", [1.0, float("inf"), "inf", "far"])
+    @pytest.mark.parametrize("scheme", ["cw", "mrt", "up", "smf"])
+    def test_loads_as_without_it(self, tmp_path, capsys, distance, scheme):
+        outputs = []
+        for name, text in (("new", _channel_json()),
+                           ("old", _channel_json(distance=distance))):
+            path, weights = tmp_path / f"{name}.json", tmp_path / f"{name}.w.json"
+            path.write_text(text)
+            argv = ["--channel", str(path), "--scheme", scheme]
+            assert cli.main(["zdc", *argv]) == 0
+            assert cli.main(["design", *argv, "--out", str(weights)]) == 0
+            outputs.append((capsys.readouterr(), weights.read_bytes()))
+        assert outputs[0] == outputs[1]
 
 
 # A channel file as older versions wrote it for one tone and two antennas.
@@ -741,7 +760,7 @@ class TestChannelScale:
     def test_design_and_zdc_exit_one(self, tmp_path, n, m, scale, scheme, message):
         ch = sample_channel(ChannelModel(), ToneGrid.for_band(n), m, seed=5)
         path = str(tmp_path / "ch.json")
-        save_channel(ChannelRealization(ch.h * scale, ch.path_loss, ch.distance), path)
+        save_channel(ChannelRealization(ch.h * scale, ch.path_loss), path)
         weights = tmp_path / "w.json"
         for argv in (["design", "--out", str(weights)], ["zdc"]):
             code, out, err = _wptsim(*argv, "--channel", path, "--scheme", scheme)
@@ -755,8 +774,43 @@ class TestChannelScale:
         cfg.write_text("realizations = 4\ncsi_enabled = true\nnoise_variance = 1e300\n")
         code, out, err = _wptsim("sweep", "--config", str(cfg), "--scheme", "smf")
         assert (code, out) == (1, "")
-        assert err.startswith("error: cannot design: ") and err.count("\n") == 1
+        assert err.startswith("error: smf N=1 M=1 d=1: cannot design: ")
+        assert err.count("\n") == 1
         assert "noise_variance = 1e+300" in err
+
+
+class TestCellErrors:
+    """An error inside a sweep or CDF cell names the cell once, and SMF's
+    normalisation error names beta."""
+
+    def _run(self, tmp_path, capsys, command, lines):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("realizations = 2\ntones = 1\n" + lines)
+        assert cli.main([command, "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.count(" N=") == 1
+        return captured.err
+
+    @pytest.mark.parametrize("command", ["sweep", "cdf"])
+    def test_z_dc_overflow_names_the_cell(self, tmp_path, capsys, command):
+        lines = "schemes = cw\npower_budget = 8e307\n"
+        err = self._run(tmp_path, capsys, command, lines)
+        assert err.startswith("error: cw N=1 M=1 d=1: z_dc overflows: ")
+
+    def test_mean_overflow_names_the_cell_once(self, tmp_path, capsys):
+        lines = "schemes = cw\nantennas = 1\ndistances = 1\npower_budget = 1e100\n"
+        err = self._run(tmp_path, capsys, "sweep", lines)
+        assert err.startswith("error: cw N=1 M=1 d=1: zdc_mean or zdc_std overflows")
+
+    @pytest.mark.parametrize("command", ["sweep", "cdf"])
+    @pytest.mark.parametrize("csi", ["", "csi_enabled = true\nnoise_variance = 1e-6\n"],
+                             ids=["true-channel", "csi"])
+    def test_smf_normalisation_names_beta(self, tmp_path, capsys, command, csi):
+        err = self._run(tmp_path, capsys, command, "schemes = smf\nbeta = 400\n" + csi)
+        assert err.startswith("error: smf N=1 M=1 d=4: cannot design: the power "
+                              "normalisation is not positive and finite for this "
+                              "power budget and beta = 400 (")
 
 
 FLOAT_KEYS = [

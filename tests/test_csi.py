@@ -253,7 +253,7 @@ class TestFrameLoop:
         assert cfg.duty_factor == 1.0
         z = csi_loop_zdc(ch, scheme, cfg, PARAMS, seed=4, grid=grid)
         estimate = quantize_csi(ls_estimate(ch.h, 4, cfg), 8)
-        believed = ChannelRealization(estimate, ch.path_loss, ch.distance)
+        believed = ChannelRealization(estimate, ch.path_loss)
         w = apply_design(scheme, believed, grid)
         assert z == z_dc(received_tones(w, effective_channel(scheme, ch)), PARAMS)
 
@@ -279,7 +279,7 @@ class TestFrameLoop:
 
     def test_degenerate_estimate_propagates(self):
         h = np.zeros((2, 2), dtype=np.complex128)
-        ch = ChannelRealization(h=h, path_loss=1.0, distance=1.0)
+        ch = ChannelRealization(h=h, path_loss=1.0)
         cfg = CsiConfig(noise_variance=0.0)
         with pytest.raises(ValueError):
             csi_loop_zdc(
@@ -324,7 +324,7 @@ def channel_block(model, n_tones, m_antennas, master, count):
             for r in range(count)
         ]
     )
-    return ChannelRealization(h=h, path_loss=1.0, distance=1.0), grid
+    return ChannelRealization(h=h, path_loss=1.0), grid
 
 
 SELECTIVE = ChannelModel(path_loss_ref=1.0)

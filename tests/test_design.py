@@ -24,41 +24,43 @@ from wptsim.design import (
 from wptsim.signals import ToneGrid, tx_power
 
 GRID1 = ToneGrid.for_band(1)
+GRID2 = ToneGrid.for_band(2)
+
+
+def grid_of(channel):
+    return ToneGrid.for_band(channel.n_tones)
 
 
 def random_channel(rng, n_tones, m_antennas, **kwargs):
     h = complex_normal(rng, (n_tones, m_antennas))
-    return ChannelRealization(h=h, path_loss=kwargs.get("path_loss", 1.0),
-                              distance=kwargs.get("distance", 1.0))
+    return ChannelRealization(h=h, path_loss=kwargs.get("path_loss", 1.0))
 
 
 class TestCw:
     def test_amplitude(self):
-        w = design_cw(1.0)
+        w = design_cw(1.0, GRID1)
         np.testing.assert_allclose(w.w, [[np.sqrt(2.0)]], rtol=1e-12)
         assert tx_power(w) == pytest.approx(1.0, rel=1e-12)
 
     def test_rejects_multitone_grid(self):
-        with pytest.raises(ValueError, match="single"):
+        with pytest.raises(ValueError, match="w has 1 rows but the grid has 2 tones"):
             design_cw(1.0, grid=ToneGrid.for_band(2))
 
     def test_rejects_non_positive_power(self):
         with pytest.raises(ValueError):
-            design_cw(0.0)
+            design_cw(0.0, GRID1)
 
 
 class TestMrt:
     def test_worked_real_channel(self):
-        ch = ChannelRealization(h=np.array([[3.0 + 0j, 4.0 + 0j]]),
-                               path_loss=1.0, distance=1.0)
+        ch = ChannelRealization(h=np.array([[3.0 + 0j, 4.0 + 0j]]), path_loss=1.0)
         w = design_mrt(ch, 1.0, grid=GRID1)
         np.testing.assert_allclose(
             w.w, [[np.sqrt(2.0) * 0.6, np.sqrt(2.0) * 0.8]], rtol=1e-12
         )
 
     def test_conjugate_alignment(self):
-        ch = ChannelRealization(h=np.array([[1.0 + 0j, 1j]]),
-                               path_loss=1.0, distance=1.0)
+        ch = ChannelRealization(h=np.array([[1.0 + 0j, 1j]]), path_loss=1.0)
         w = design_mrt(ch, 1.0, grid=GRID1)
         np.testing.assert_allclose(w.w, [[1.0, -1.0j]], rtol=1e-12)
         combined = (ch.h[0] * w.w[0]).sum()
@@ -77,8 +79,7 @@ class TestMrt:
             design_mrt(ch, 1.0, grid=ToneGrid.for_band(2))
 
     def test_rejects_zero_channel(self):
-        ch = ChannelRealization(h=np.zeros((1, 2), dtype=complex),
-                               path_loss=1.0, distance=1.0)
+        ch = ChannelRealization(h=np.zeros((1, 2), dtype=complex), path_loss=1.0)
         with pytest.raises(ValueError):
             design_mrt(ch, 1.0, grid=GRID1)
 
@@ -105,7 +106,7 @@ class TestUp:
 class TestSmf:
     def test_worked_two_tone(self):
         h = np.array([[0.5 + 0j], [1.0 + 0j]])
-        ch = ChannelRealization(h=h, path_loss=1.0, distance=1.0)
+        ch = ChannelRealization(h=h, path_loss=1.0)
         w = design_smf(ch, 1.0, beta=3.0, grid=ToneGrid.for_band(2))
         np.testing.assert_allclose(
             np.abs(w.w).ravel(), [0.1754116, 1.40329283], rtol=1e-6
@@ -157,14 +158,13 @@ class TestSmf:
 
     def test_zero_row_gets_zero_power(self):
         h = np.array([[0.0 + 0j, 0.0 + 0j], [1.0 + 0j, 1j]])
-        ch = ChannelRealization(h=h, path_loss=1.0, distance=1.0)
+        ch = ChannelRealization(h=h, path_loss=1.0)
         w = design_smf(ch, 1.0, beta=3.0, grid=ToneGrid.for_band(2))
         np.testing.assert_array_equal(w.w[0], 0.0)
         assert tx_power(w) == pytest.approx(1.0, rel=1e-12)
 
     def test_rejects_all_zero_channel(self):
-        ch = ChannelRealization(h=np.zeros((2, 2), dtype=complex),
-                               path_loss=1.0, distance=1.0)
+        ch = ChannelRealization(h=np.zeros((2, 2), dtype=complex), path_loss=1.0)
         with pytest.raises(ValueError):
             design_smf(ch, 1.0, grid=ToneGrid.for_band(2))
 
@@ -238,32 +238,40 @@ class TestChannelScale:
 
     @pytest.mark.parametrize("design", [design_mrt, design_smf])
     def test_overflowing_norm_rejected(self, design):
-        ch = ChannelRealization(scaled_channel(1, 4, 1e160), 1.0, 1.0)
+        ch = ChannelRealization(scaled_channel(1, 4, 1e160), 1.0)
         with pytest.raises(ChannelScaleError, match="the channel norm overflows"):
-            design(ch, 1.0)
+            design(ch, 1.0, GRID1)
 
     def test_overflowing_normalisation_rejected(self):
-        ch = ChannelRealization(scaled_channel(8, 2, 1e60), 1.0, 1.0)
+        ch = ChannelRealization(scaled_channel(8, 2, 1e60), 1.0)
         with pytest.raises(ChannelScaleError, match="power normalisation"):
-            design_smf(ch, 1.0)
+            design_smf(ch, 1.0, grid_of(ch))
 
     def test_underflowing_normalisation_rejected(self):
         # Norms near 1e-60 are fine, but their sixth powers underflow.
-        ch = ChannelRealization(scaled_channel(8, 2, 1e-60), 1.0, 1.0)
+        ch = ChannelRealization(scaled_channel(8, 2, 1e-60), 1.0)
         with pytest.raises(ChannelScaleError, match="power normalisation"):
-            design_smf(ch, 1.0, beta=3.0)
+            design_smf(ch, 1.0, grid_of(ch), beta=3.0)
+
+    # A tone norm of 0.1 or 10 raised to 2 beta = 800 under- or overflows.
+    @pytest.mark.parametrize("magnitude", [0.1, 10.0])
+    def test_smf_normalisation_names_beta(self, magnitude):
+        ch = ChannelRealization(np.full((1, 1), magnitude, complex), 1.0)
+        with pytest.raises(ChannelScaleError, match="power budget and beta = 400 "):
+            design_smf(ch, 1.0, GRID1, beta=400.0)
+        design_smf(ch, 1.0, GRID1, beta=3.0)
 
     def test_overflowing_mrt_scale_rejected(self):
         # ||h|| near 1e-160 is finite, but sqrt(2 p) / ||h|| is not.
-        ch = ChannelRealization(scaled_channel(1, 4, 1e-160), 1.0, 1.0)
+        ch = ChannelRealization(scaled_channel(1, 4, 1e-160), 1.0)
         with pytest.raises(ChannelScaleError, match="power normalisation"):
-            design_mrt(ch, 1e300)
+            design_mrt(ch, 1e300, GRID1)
 
     @pytest.mark.parametrize("design", [design_mrt, design_smf])
     def test_underflowing_norm_is_not_an_all_zero_channel(self, design):
-        ch = ChannelRealization(scaled_channel(1, 4, 1e-170), 1.0, 1.0)
+        ch = ChannelRealization(scaled_channel(1, 4, 1e-170), 1.0)
         with pytest.raises(ChannelScaleError, match="nonzero channel underflows"):
-            design(ch, 1.0)
+            design(ch, 1.0, GRID1)
 
     @pytest.mark.parametrize(
         "design, message",
@@ -271,18 +279,18 @@ class TestChannelScale:
          (design_smf, "cannot design on an all-zero channel")],
     )
     def test_zero_channel_keeps_its_message(self, design, message):
-        ch = ChannelRealization(np.zeros((1, 4), complex), 1.0, 1.0)
+        ch = ChannelRealization(np.zeros((1, 4), complex), 1.0)
         with pytest.raises(ValueError, match=message):
-            design(ch, 1.0)
+            design(ch, 1.0, GRID1)
 
     @settings(max_examples=80, deadline=None)
     @given(ordinary_channels())
     def test_ordinary_channels_keep_their_bits(self, case):
         h, p, beta = case
-        ch = ChannelRealization(h, 1.0, 1.0)
-        smf = design_smf(ch, p, beta=beta).w
+        ch = ChannelRealization(h, 1.0)
+        smf = design_smf(ch, p, grid_of(ch), beta=beta).w
         assert smf.tobytes() == reference_smf(h, p, beta).tobytes()
-        mrt = design_mrt(ChannelRealization(h[..., :1, :], 1.0, 1.0), p).w
+        mrt = design_mrt(ChannelRealization(h[..., :1, :], 1.0), p, GRID1).w
         assert mrt.tobytes() == reference_mrt(h[..., :1, :], p).tobytes()
 
     @settings(max_examples=300, deadline=None)
@@ -291,7 +299,7 @@ class TestChannelScale:
         h, p = case
         expected = per_row_mrt(h, p)
         try:
-            w = design_mrt(ChannelRealization(h, 1.0, 1.0), p).w
+            w = design_mrt(ChannelRealization(h, 1.0), p, GRID1).w
         except ValueError as exc:
             assert (type(exc), str(exc)) == expected
         else:
@@ -324,10 +332,10 @@ class TestScheme:
     @pytest.mark.parametrize(
         "design",
         [
-            lambda p: design_cw(p),
-            lambda p: design_mrt(ChannelRealization(np.ones((1, 2)), 1.0, 1.0), p),
-            lambda p: design_up(ChannelRealization(np.ones((2, 2)), 1.0, 1.0), p),
-            lambda p: design_smf(ChannelRealization(np.ones((2, 2)), 1.0, 1.0), p),
+            lambda p: design_cw(p, GRID1),
+            lambda p: design_mrt(ChannelRealization(np.ones((1, 2)), 1.0), p, GRID1),
+            lambda p: design_up(ChannelRealization(np.ones((2, 2)), 1.0), p, GRID2),
+            lambda p: design_smf(ChannelRealization(np.ones((2, 2)), 1.0), p, GRID2),
         ],
         ids=["cw", "mrt", "up", "smf"],
     )
@@ -376,6 +384,31 @@ class TestScheme:
         for kind in ("up", "smf"):
             eff = effective_channel(DesignScheme(kind=kind), ch)
             assert eff is ch
+
+    @pytest.mark.parametrize("kind", ["cw", "mrt", "up", "smf"])
+    @pytest.mark.parametrize("n_tones, grid_tones", [(1, 2), (2, 1), (2, 3)])
+    def test_apply_design_rejects_a_grid_of_another_tone_count(
+        self, kind, n_tones, grid_tones
+    ):
+        ch = random_channel(make_rng(16), n_tones, 2)
+        message = f"^grid has {grid_tones} tones but the channel has {n_tones}$"
+        with pytest.raises(ValueError, match=message):
+            apply_design(DesignScheme(kind=kind), ch, ToneGrid.for_band(grid_tones))
+
+    @pytest.mark.parametrize(
+        "design",
+        [
+            lambda ch, grid: design_cw(1.0, grid),
+            lambda ch, grid: design_mrt(ChannelRealization(ch.h[:1], 1.0), 1.0, grid),
+            lambda ch, grid: design_up(ch, 1.0, grid),
+            lambda ch, grid: design_smf(ch, 1.0, grid),
+        ],
+        ids=["cw", "mrt", "up", "smf"],
+    )
+    def test_designs_reject_a_grid_of_another_tone_count(self, design):
+        ch = random_channel(make_rng(17), 2, 2)
+        with pytest.raises(ValueError, match="rows but the grid has 3 tones"):
+            design(ch, ToneGrid.for_band(3))
 
     def test_apply_design_mrt_requires_single_tone(self):
         rng = make_rng(15)

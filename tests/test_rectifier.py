@@ -85,9 +85,7 @@ class TestReceivedTones:
     def test_combining_with_path_loss(self):
         grid = ToneGrid.for_band(1)
         w = PrecoderWeights(w=np.array([[1.0 + 0j, 1j]]), grid=grid)
-        ch = ChannelRealization(
-            h=np.array([[1.0 + 0j, -1j]]), path_loss=4.0, distance=1.0
-        )
+        ch = ChannelRealization(h=np.array([[1.0 + 0j, -1j]]), path_loss=4.0)
         tones = received_tones(w, ch)
         # (1*1 + (-j)(j)) / sqrt(4) = 2 / 2
         np.testing.assert_allclose(tones.a, [1.0 + 0j], rtol=1e-12)
@@ -95,8 +93,7 @@ class TestReceivedTones:
     def test_dimension_mismatch_rejected(self):
         grid = ToneGrid.for_band(1)
         w = PrecoderWeights(w=np.ones((1, 2), dtype=complex), grid=grid)
-        ch = ChannelRealization(h=np.ones((1, 3), dtype=complex),
-                               path_loss=1.0, distance=1.0)
+        ch = ChannelRealization(h=np.ones((1, 3), dtype=complex), path_loss=1.0)
         with pytest.raises(ValueError, match="match"):
             received_tones(w, ch)
 

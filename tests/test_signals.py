@@ -172,9 +172,7 @@ class TestReceivedSignal:
     def test_identity_channel_reproduces_tx(self):
         rng = np.random.default_rng(7)
         weights = make_weights(crandn(rng, (3, 1)))
-        channel = ChannelRealization(
-            h=np.ones((3, 1), dtype=complex), path_loss=1.0, distance=1.0
-        )
+        channel = ChannelRealization(h=np.ones((3, 1), dtype=complex), path_loss=1.0)
         t = np.linspace(0.0, 2e-6, 33)
         np.testing.assert_allclose(
             received_signal(weights, channel, t),
@@ -185,9 +183,7 @@ class TestReceivedSignal:
 
     def test_path_loss_four_halves_amplitude(self):
         weights = make_weights([[np.sqrt(2.0)]])
-        channel = ChannelRealization(
-            h=np.ones((1, 1), dtype=complex), path_loss=4.0, distance=1.0
-        )
+        channel = ChannelRealization(h=np.ones((1, 1), dtype=complex), path_loss=4.0)
         assert received_signal(weights, channel, 0.0) == pytest.approx(
             np.sqrt(2.0) / 2.0
         )
@@ -197,9 +193,7 @@ class TestReceivedSignal:
         w1 = crandn(rng, (4, 2))
         w2 = crandn(rng, (4, 2))
         grid = ToneGrid(32e6, 1e6, 4)
-        channel = ChannelRealization(
-            h=crandn(rng, (4, 2)), path_loss=2.0, distance=1.0
-        )
+        channel = ChannelRealization(h=crandn(rng, (4, 2)), path_loss=2.0)
         t = np.linspace(0.0, 1e-6, 11)
         y_sum = received_signal(PrecoderWeights(w1 + w2, grid), channel, t)
         y_parts = received_signal(
@@ -209,9 +203,7 @@ class TestReceivedSignal:
 
     def test_dimension_mismatch_rejected(self):
         weights = make_weights(np.ones((2, 2)))
-        channel = ChannelRealization(
-            h=np.ones((2, 3), dtype=complex), path_loss=1.0, distance=1.0
-        )
+        channel = ChannelRealization(h=np.ones((2, 3), dtype=complex), path_loss=1.0)
         with pytest.raises(ValueError, match="match"):
             received_signal(weights, channel, 0.0)
 

@@ -30,19 +30,20 @@ from wptsim.signals import (
     positive_finite,
 )
 
-CHANNEL = ChannelRealization(np.array([[1.0 + 1j, -0.5j], [0.25, 2.0]]), 1.0, 1.0)
-ONE_TONE = ChannelRealization(CHANNEL.h[:1], 1.0, 1.0)
-WEIGHTS = PrecoderWeights(np.ones((2, 2)), ToneGrid.for_band(2))
+CHANNEL = ChannelRealization(np.array([[1.0 + 1j, -0.5j], [0.25, 2.0]]), 1.0)
+ONE_TONE = ChannelRealization(CHANNEL.h[:1], 1.0)
+GRID1, GRID2 = ToneGrid.for_band(1), ToneGrid.for_band(2)
+WEIGHTS = PrecoderWeights(np.ones((2, 2)), GRID2)
 PARAMS = RectifierParams()
 FIT = PowerLawFit(8.0, -1.5)
 
 # (name of the checked argument, call with that argument set to the value)
 CALLS = {
-    "design_cw": ("p", lambda v: design_cw(v)),
-    "design_mrt": ("p", lambda v: design_mrt(ONE_TONE, v)),
-    "design_up": ("p", lambda v: design_up(CHANNEL, v)),
-    "design_smf/p": ("p", lambda v: design_smf(CHANNEL, v)),
-    "design_smf/beta": ("beta", lambda v: design_smf(CHANNEL, 1.0, beta=v)),
+    "design_cw": ("p", lambda v: design_cw(v, GRID1)),
+    "design_mrt": ("p", lambda v: design_mrt(ONE_TONE, v, GRID1)),
+    "design_up": ("p", lambda v: design_up(CHANNEL, v, GRID2)),
+    "design_smf/p": ("p", lambda v: design_smf(CHANNEL, v, GRID2)),
+    "design_smf/beta": ("beta", lambda v: design_smf(CHANNEL, 1.0, GRID2, beta=v)),
     "scaling_law_ca/path_loss": (
         "path_loss", lambda v: scaling_law_ca(PARAMS, v, 1.0, 8, 2)
     ),
