@@ -49,7 +49,6 @@ from .rectifier import (
     RectifierParams,
     moment2,
     moment4,
-    received_signal,
     received_tones,
     scaling_law_ca,
     z_dc,
@@ -58,7 +57,6 @@ from .rectifier import (
 from .signals import (
     PrecoderWeights,
     ToneGrid,
-    synthesize_tx,
     tx_power,
 )
 
@@ -99,13 +97,11 @@ __all__ = [
     "predict_pdc",
     "quantize_csi",
     "range_gain",
-    "received_signal",
     "received_tones",
     "run_cdf",
     "run_sweep",
     "sample_channel",
     "scaling_law_ca",
-    "synthesize_tx",
     "tx_power",
     "z_dc",
     "z_dc_time_oracle",

@@ -241,7 +241,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--b", type=float,
         help="fitted exponent; attach a negative exponent-form value: --b=-2e-05",
     )
-    p_range.add_argument("--scheme", default="smf", help="reference curve scheme")
+    p_range.add_argument(
+        "--scheme", default="smf", choices=SCHEME_KINDS, help="reference curve scheme"
+    )
     p_range.add_argument("--tones", type=int, default=1)
     p_range.add_argument("--antennas", type=int, default=1)
     p_range.set_defaults(func=_cmd_range)

@@ -10,6 +10,8 @@ realizations (leading axes of ``h``) is designed in one call and a single
 realization is the batch of one.  Each design takes the tone grid it designs
 on; none has a default.  A channel too large or too small for the
 norm arithmetic raises ChannelScaleError, never zero or non-finite weights.
+Channel norms are taken on rows scaled by a power of two (`_scaled_rows`),
+so a nonzero row's norm never underflows to 0.
 """
 
 from __future__ import annotations
@@ -66,6 +68,20 @@ class ChannelScaleError(ValueError):
     """A channel too large or too small in scale for a design's arithmetic."""
 
 
+def _scaled_rows(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(h * 2^-e, e) with e[..., n] the `frexp` exponent of max |h[..., n, :]|,
+    which the scaling brings into [0.5, 1); an all-zero row has e = 0.
+
+    A row's squared norm then neither over- nor underflows, and its norm is
+    `ldexp(norm(scaled row), e)`: bit for bit the unscaled norm wherever
+    that stays in the normal range, and never 0 for a nonzero row.  A
+    modulus beyond float range gives e = 0 and a norm that overflows.
+    """
+    e = np.frexp(np.abs(h).max(axis=-1, keepdims=True))[1]
+    parts = np.ascontiguousarray(h).view(np.float64)  # re, im interleaved
+    return np.ldexp(parts, -e).view(np.complex128), e[..., 0]
+
+
 def _check_weights(
     norms: np.ndarray,
     scale: np.ndarray,
@@ -76,18 +92,14 @@ def _check_weights(
 ) -> None:
     """Raise unless weights `w`, normalised by `scale` from the `norms` of h
     over its last axis, radiate the power budget: a realization whose
-    entries are all zero raises ValueError; a norm that overflows, a norm
-    that underflows to 0 on nonzero entries, or a scale that is not positive
-    and finite (zero or non-finite weights) raises ChannelScaleError, the
-    last naming the other `inputs` of the normalisation."""
-    zero = norms == 0.0
-    underflow = zero.any() and h[zero].any()
-    if zero.all(axis=-1).any() and not underflow:
+    entries are all zero raises ValueError; a norm that overflows, or a
+    scale that is not positive and finite (zero or non-finite weights),
+    raises ChannelScaleError, the last naming the other `inputs` of the
+    normalisation."""
+    if (norms == 0.0).all(axis=-1).any():
         raise ValueError(f"cannot {action} on an all-zero channel")
     if not np.isfinite(norms).all():
         problem = "the channel norm overflows"
-    elif underflow:
-        problem = "the norm of a nonzero channel underflows to 0"
     elif not ((scale > 0.0).all() and np.isfinite(w).all()):
         problem = f"the power normalisation is not positive and finite for {inputs}"
     else:
@@ -116,20 +128,22 @@ def design_mrt(
 ) -> PrecoderWeights:
     """Single-tone conjugate beamformer: w = sqrt(2 p) conj(h) / ||h||.
 
-    A norm that overflows, or that underflows to 0 on a nonzero channel, and
-    a normalisation sqrt(2 p) / ||h|| that is not positive and finite raise
-    ChannelScaleError; an all-zero channel raises ValueError.
+    A norm that overflows and a normalisation sqrt(2 p) / ||h|| that is not
+    positive and finite raise ChannelScaleError; an all-zero channel raises
+    ValueError.
     """
     check_power_budget(p, "p")
     if channel.n_tones != 1:
         raise ValueError("MRT is a single-tone design; channel must have n_tones = 1")
     h = channel.h
-    re, im = h.real, h.imag
+    scaled, e = _scaled_rows(h)
+    re, im = scaled.real, scaled.imag
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         # Each (1, M) @ (M, 1) product is one BLAS dot, the one the 1-D
         # np.linalg.norm takes, so these norms keep its bits; a batched
         # norm(axis=-1) or einsum rounds differently.
-        norms = np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0]
+        root = np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))
+        norms = np.ldexp(root[..., 0], e)
         scale = math.sqrt(2.0 * p) / norms
         w = scale[..., None] * np.conj(h)
     _check_weights(norms, scale, w, h, "beamform")
@@ -161,16 +175,17 @@ def design_smf(
     tones, beta = 1 is the plain matched filter, and for a single tone the
     result reduces exactly to MRT for any beta.
 
-    A tone norm that overflows, or underflows to 0 on nonzero entries, and a
-    normalisation sqrt(2 p / sum_n ||h_n||^(2 beta)) that is not positive
-    and finite raise ChannelScaleError, the last naming beta, whose power
-    can over- or underflow the sum; a realization whose tones are all zero
-    raises ValueError.
+    A tone norm that overflows and a normalisation
+    sqrt(2 p / sum_n ||h_n||^(2 beta)) that is not positive and finite raise
+    ChannelScaleError, the last naming beta, whose power can over- or
+    underflow the sum; a realization whose tones are all zero raises
+    ValueError.
     """
     check_power_budget(p, "p")
     positive_finite(beta=beta)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        norms = np.linalg.norm(channel.h, axis=-1)
+        scaled, e = _scaled_rows(channel.h)
+        norms = np.ldexp(np.linalg.norm(scaled, axis=-1), e)
         alive = norms > 0
         shape = np.zeros_like(channel.h)
         shape[alive] = norms[alive][:, None] ** (beta - 1.0) * np.conj(channel.h[alive])

@@ -5,12 +5,14 @@ a second-order term proportional to the time-average of y(t)^2 and a
 fourth-order term proportional to the time-average of y(t)^4.  For a
 multisine on an evenly spaced tone grid narrower than twice its base
 frequency both averages have exact closed forms in the per-tone complex
-amplitudes; `z_dc_time_oracle` recomputes them by brute-force time sampling
-as an independent check; `check_comb` states that limit.
+amplitudes, and `check_comb` states that limit.  `z_dc_time_oracle`
+recomputes both averages from one exactly sampled period of y(t)
+(`signals.period_samples`) as an independent check.
 
 Tone amplitudes are array-first: ``a`` has shape ``(..., n_tones)``, and the
 moments and `z_dc` return one value per leading index, or a float for a
-single reception.  The time oracle takes a single reception only.
+single reception.  The time oracle takes a single reception only, and
+always samples `min_oracle_samples` points.
 
 `scaling_law_ca` is the exact mean of `z_dc` over i.i.d. Rayleigh fading
 across antennas for SMF on a one-tap channel, MRT, and CW (N = M = 1); it is
@@ -29,8 +31,8 @@ from .signals import (
     ToneGrid,
     frozen_complex,
     integer_at_least,
-    multisine,
     per_realization,
+    period_samples,
     positive_finite,
     require_single,
 )
@@ -88,28 +90,17 @@ class ReceivedTones:
         return self.a.shape[-1]
 
 
-def _tone_sum(weights: PrecoderWeights, channel: ChannelRealization) -> np.ndarray:
-    """a[..., n] = path_loss^{-1/2} sum_m h[..., n, m] w[..., n, m]."""
+def received_tones(
+    weights: PrecoderWeights, channel: ChannelRealization
+) -> ReceivedTones:
+    """Combine weights and channel: a_n = path_loss^{-1/2} sum_m h[n,m] w[n,m]."""
     if channel.h.shape != weights.w.shape:
         raise ValueError(
             f"channel dimensions {channel.h.shape} do not match weight "
             f"dimensions {weights.w.shape}"
         )
-    return (channel.h * weights.w).sum(axis=-1) / np.sqrt(channel.path_loss)
-
-
-def received_tones(
-    weights: PrecoderWeights, channel: ChannelRealization
-) -> ReceivedTones:
-    """Combine weights and channel: a_n = path_loss^{-1/2} sum_m h[n,m] w[n,m]."""
-    return ReceivedTones(a=_tone_sum(weights, channel), grid=weights.grid)
-
-
-def received_signal(weights: PrecoderWeights, channel: ChannelRealization, t):
-    """y(t) = Re sum_n a_n exp(j 2 pi f_n t) at time(s) t, with the a_n of
-    `received_tones` for one realization on any comb; scalar t gives a float."""
-    require_single(weights.w)
-    return per_realization(multisine(weights.grid, _tone_sum(weights, channel), t))
+    a = (channel.h * weights.w).sum(axis=-1) / np.sqrt(channel.path_loss)
+    return ReceivedTones(a=a, grid=weights.grid)
 
 
 def moment2(tones: ReceivedTones):
@@ -157,44 +148,26 @@ def z_dc(tones: ReceivedTones, params: RectifierParams):
 
 
 def min_oracle_samples(tones: ReceivedTones) -> int:
-    """Smallest admissible sample count for `z_dc_time_oracle`."""
+    """The sample count of `z_dc_time_oracle`: 8 (q0 + N) for f0 snapped to
+    q0 = round(f0 / delta_f) harmonics of delta_f, the fewest samples of one
+    period on which the averages of y^2 and y^4 are exact up to rounding;
+    fewer would alias fourth-order products onto DC."""
     q0 = round(tones.grid.f0 / tones.grid.delta_f)
     return 8 * (q0 + tones.n_tones)
 
 
-def z_dc_time_oracle(
-    tones: ReceivedTones, params: RectifierParams, samples: int | None = None
-) -> float:
-    """Recompute z_dc by uniformly sampling y(t) over one waveform period.
-
-    The comb is snapped to exact harmonics of delta_f (f0 rounded to an
-    integer multiple), making the waveform periodic with period 1/delta_f.
-    Sample phases are reduced modulo the sample count in integer arithmetic,
-    so the sampled averages of y^2 and y^4 are exact up to rounding provided
-    `samples` is at least 8 (f0 + N delta_f) / delta_f; fewer samples would
-    alias fourth-order products onto DC and raise instead.
-    """
+def z_dc_time_oracle(tones: ReceivedTones, params: RectifierParams) -> float:
+    """Recompute z_dc from the averages of y^2 and y^4 over
+    `min_oracle_samples` uniform samples of one period of y(t)
+    (`signals.period_samples`)."""
     require_single(tones.a, core_ndim=1)
-    needed = min_oracle_samples(tones)
-    if needed > _MAX_ORACLE_SAMPLES:
+    samples = min_oracle_samples(tones)
+    if samples > _MAX_ORACLE_SAMPLES:
         raise ValueError(
             "grid is too fine for the time oracle: "
-            f"{needed} samples would be required"
+            f"{samples} samples would be required"
         )
-    if samples is None:
-        samples = needed
-    if samples < needed:
-        raise ValueError(
-            f"insufficient sampling rate: need at least {needed} samples, got {samples}"
-        )
-    if samples > _MAX_ORACLE_SAMPLES:
-        raise ValueError(f"sample count {samples} is beyond the oracle's budget")
-    q0 = round(tones.grid.f0 / tones.grid.delta_f)
-    k = np.arange(samples, dtype=np.int64)
-    y = np.zeros(samples)
-    for n in range(tones.n_tones):
-        idx = ((q0 + n) % samples) * k % samples
-        y += (tones.a[n] * np.exp(2j * np.pi * idx / samples)).real
+    y = period_samples(tones.grid, tones.a, samples)
     m2 = float(np.mean(y**2))
     m4 = float(np.mean(y**4))
     return params.k2 * params.r_ant * m2 + params.k4 * params.r_ant**2 * m4

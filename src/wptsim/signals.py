@@ -1,18 +1,17 @@
-"""Multisine MISO transmit signals: tone grids, precoder weights, synthesis.
+"""Multisine MISO transmit signals: tone grids, precoder weights, sampling.
 
-Everything downstream works on per-tone complex amplitudes.  Real passband
-waveforms are only materialized through `multisine` (by `synthesize_tx` and
-`rectifier.received_signal`), mainly so that time-domain averages can
-cross-check the analytic power and rectifier expressions.
+Everything downstream works on per-tone complex amplitudes.  The one real
+waveform is `period_samples`, one exact period of a comb, on which the
+rectifier's time oracle and the transmit-power tests take time averages.
 
 Weight matrices are array-first: ``w`` has shape ``(..., n_tones,
 m_antennas)``, and any leading axes index independent realizations.  A 2-D
 matrix is the batch of one; per-realization quantities then come back as a
-float instead of an array.  Waveform synthesis and the file codecs take a
-single realization only.  Every CSV table the program reads or writes goes
-through `csv_text` and `read_csv_entries`.  `positive_finite` checks every
-positive, finite setting, `integer_at_least` every count, and `frozen_complex`
-builds every complex array a value class holds.
+float instead of an array.  The file codecs take a single realization
+only.  Every CSV table the program reads or writes goes through `csv_text`
+and `read_csv_entries`.  `positive_finite` checks every positive, finite
+setting, `integer_at_least` every count, and `frozen_complex` builds every
+complex array a value class holds.
 """
 
 from __future__ import annotations
@@ -149,25 +148,31 @@ class PrecoderWeights:
         return self.w.shape[-1]
 
 
-def multisine(grid: ToneGrid, amplitudes: np.ndarray, t) -> np.ndarray:
-    """Re sum_n amplitudes[n] exp(j 2 pi f_n t): a leading axis of len(t)
-    followed by the trailing axes of `amplitudes`; a scalar t has no time axis."""
-    t_arr = np.asarray(t, dtype=np.float64)
-    if not np.all(np.isfinite(t_arr)):
-        raise ValueError("t must be finite")
-    phases = np.exp(2j * np.pi * np.outer(t_arr, grid.frequencies))
-    x = (phases @ amplitudes).real
-    return x[0] if t_arr.ndim == 0 else x
+def period_samples(grid: ToneGrid, amplitudes, samples: int) -> np.ndarray:
+    """`samples` uniform samples of one period 1/delta_f of the multisine
+    Re sum_n amplitudes[n] exp(j 2 pi f_n t), with f0 snapped to
+    q0 = round(f0 / delta_f) harmonics of delta_f, so that tone n sits at
+    (q0 + n) delta_f.
 
-
-def synthesize_tx(weights: PrecoderWeights, t):
-    """Real transmit signal per antenna at time(s) t.
-
-    x_m(t) = Re sum_n w[n, m] exp(j 2 pi f_n t).  Scalar t returns shape
-    (m_antennas,); a 1-D array of times returns (len(t), m_antennas).
+    Sample k of tone n has phase 2 pi ((q0 + n) k mod samples) / samples,
+    reduced in integer arithmetic, so no phase grows with f0.  The first axis
+    of `amplitudes` indexes the tones; the result has shape ``(samples,
+    *amplitudes.shape[1:])``, one waveform per trailing index.
     """
-    require_single(weights.w)
-    return multisine(weights.grid, weights.w, t)
+    integer_at_least(1, samples=samples)
+    amplitudes = np.asarray(amplitudes)
+    if amplitudes.shape[:1] != (grid.n_tones,):
+        raise ValueError(
+            f"amplitudes of shape {amplitudes.shape} need a first axis of "
+            f"{grid.n_tones}, the grid's tone count"
+        )
+    q0 = round(grid.f0 / grid.delta_f)
+    k = np.arange(samples, dtype=np.int64)
+    y = np.zeros((samples, *amplitudes.shape[1:]))
+    for n in range(grid.n_tones):
+        phase = np.exp(2j * np.pi * (((q0 + n) % samples) * k % samples) / samples)
+        y += np.multiply.outer(phase, amplitudes[n]).real
+    return y
 
 
 def tx_power(weights: PrecoderWeights):

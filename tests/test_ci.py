@@ -114,6 +114,26 @@ def test_channel_step_fails_on_a_weight_file_of_another_tone_count(tmp_path):
     assert run_step(tmp_path, script).returncode != 0
 
 
+def range_step():
+    return tier1_step("Range console script", after="Channel file console script")
+
+
+def test_tier1_job_runs_a_range_and_rejects_an_unknown_scheme(tmp_path):
+    step = range_step()
+    assert step["shell"] == "bash"
+    proc = run_step(tmp_path, step["run"])
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout.splitlines()[0]) > 0
+    assert "argument --scheme: invalid choice: 'bogus'" in proc.stdout
+    assert "wptsim range --scheme bogus --target 1 " in step["run"]
+
+
+def test_range_step_fails_when_the_unknown_scheme_runs(tmp_path):
+    # The step must not pass if `range` accepts any scheme.
+    script = range_step()["run"].replace("--scheme bogus", "--scheme mrt")
+    assert run_step(tmp_path, script).returncode != 0
+
+
 def test_console_script_resolves_to_cli_main():
     tomllib = pytest.importorskip("tomllib")
     with open(ROOT / "pyproject.toml", "rb") as fh:

@@ -23,7 +23,7 @@ from wptsim.channel import (
 from wptsim.design import DesignScheme, apply_design
 from wptsim.fitlab import MEASUREMENT_FIELDS, MeasurementRecord, write_measurements_csv
 from wptsim.harness import CDF_FIELDS, CONFIG_KEYS, SWEEP_FIELDS
-from wptsim.signals import ToneGrid, load_weights, save_weights
+from wptsim.signals import ToneGrid, load_weights, save_weights, tx_power
 
 
 SRC_DIR = str(Path(cli.__file__).resolve().parents[1])
@@ -743,24 +743,33 @@ class TestOverflowingSettings:
 
 
 class TestChannelScale:
-    """Stored channels whose norms overflow or underflow, and CSI estimates
-    the design cannot normalise: one `error:` line, exit 1, no warning."""
+    """Stored channels whose norms overflow or whose normalisation leaves
+    float range, and CSI estimates the design cannot normalise: one `error:`
+    line, exit 1, no warning.  MRT designs on any channel whose norm is
+    finite."""
 
+    @staticmethod
+    def _scaled_channel(tmp_path, n, m, scale):
+        ch = sample_channel(ChannelModel(), ToneGrid.for_band(n), m, seed=5)
+        path = str(tmp_path / "ch.json")
+        save_channel(ChannelRealization(ch.h * scale, ch.path_loss), path)
+        return path
+
+    # At 1.5e308 every entry is finite but the norm is not; at 1e160 and
+    # 1e-170 the norms are finite, but SMF's sixth powers of them are not.
     @pytest.mark.parametrize(
         "n, m, scale, scheme, message",
         [
             (8, 2, 1e60, "smf", "the power normalisation is not positive and finite"),
-            (1, 4, 1e160, "mrt", "the channel norm overflows"),
-            (1, 4, 1e160, "smf", "the channel norm overflows"),
-            (1, 4, 1e-170, "mrt", "the norm of a nonzero channel underflows to 0"),
-            (1, 4, 1e-170, "smf", "the norm of a nonzero channel underflows to 0"),
+            (1, 4, 1.5e308, "mrt", "the channel norm overflows"),
+            (1, 4, 1.5e308, "smf", "the channel norm overflows"),
+            (1, 4, 1e160, "smf", "the power normalisation is not positive and finite"),
+            (1, 4, 1e-170, "smf", "the power normalisation is not positive and finite"),
         ],
-        ids=["smf-1e60", "mrt-1e160", "smf-1e160", "mrt-1e-170", "smf-1e-170"],
+        ids=["smf-1e60", "mrt-1.5e308", "smf-1.5e308", "smf-1e160", "smf-1e-170"],
     )
     def test_design_and_zdc_exit_one(self, tmp_path, n, m, scale, scheme, message):
-        ch = sample_channel(ChannelModel(), ToneGrid.for_band(n), m, seed=5)
-        path = str(tmp_path / "ch.json")
-        save_channel(ChannelRealization(ch.h * scale, ch.path_loss), path)
+        path = self._scaled_channel(tmp_path, n, m, scale)
         weights = tmp_path / "w.json"
         for argv in (["design", "--out", str(weights)], ["zdc"]):
             code, out, err = _wptsim(*argv, "--channel", path, "--scheme", scheme)
@@ -768,6 +777,14 @@ class TestChannelScale:
             assert err.startswith("error: cannot ") and err.count("\n") == 1
             assert message in err
         assert not weights.exists()
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-170])
+    def test_mrt_designs_on_a_huge_or_tiny_channel(self, tmp_path, scale):
+        path = self._scaled_channel(tmp_path, 1, 4, scale)
+        weights = tmp_path / "w.json"
+        argv = ("design", "--out", str(weights), "--channel", path, "--scheme", "mrt")
+        assert _wptsim(*argv) == (0, "", "")
+        assert tx_power(load_weights(str(weights))) == pytest.approx(1.0, rel=1e-14)
 
     def test_csi_estimate_beyond_the_design_names_noise_variance(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -908,6 +925,14 @@ class TestFitAndRange:
     def test_range_default_is_baseline(self, capsys):
         assert cli.main(["range", "--target", "8.081"]) == 0
         assert float(capsys.readouterr().out.strip()) == pytest.approx(1.0, rel=1e-9)
+
+    def test_range_unknown_scheme_rejected(self, capsys):
+        # The (1, 1) reference curve answers for every scheme, so an unknown
+        # one must be stopped by the parser.
+        assert cli.main(["range", "--scheme", "bogus", "--target", "1"]) == 1
+        captured = capsys.readouterr()
+        assert "argument --scheme: invalid choice: 'bogus'" in captured.err
+        assert captured.out == ""
 
     def test_half_specified_fit_rejected(self, capsys):
         assert cli.main(["range", "--target", "1.0", "--a", "5.0"]) == 1

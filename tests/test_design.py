@@ -181,12 +181,22 @@ def reference_mrt(h, p):
     return (math.sqrt(2.0 * p) / norms)[..., None, None] * np.conj(h)[..., None, :]
 
 
+def scaled_norm(row):
+    """The 1-D np.linalg.norm of `row` taken on the row divided by the power
+    of two 2^e that brings its largest real or imaginary part into [0.5, 1)."""
+    peak = max(np.abs(row.real).max(), np.abs(row.imag).max())
+    e = math.frexp(peak)[1]
+    scaled = np.ldexp(row.real, -e) + 1j * np.ldexp(row.imag, -e)
+    return math.ldexp(np.linalg.norm(scaled), e)
+
+
 def per_row_mrt(h, p):
-    """MRT with one 1-D np.linalg.norm per realization, under the design's
-    own scale checks: the weights, or the (type, message) of the error."""
+    """MRT with one scaled 1-D np.linalg.norm per realization, under the
+    design's own scale checks: the weights, or the (type, message) of the
+    error."""
     rows = h.reshape(-1, h.shape[-1])
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        norms = np.array([np.linalg.norm(row) for row in rows]).reshape(h.shape[:-1])
+        norms = np.array([scaled_norm(row) for row in rows]).reshape(h.shape[:-1])
         scale = math.sqrt(2.0 * p) / norms
         w = scale[..., None] * np.conj(h)
     try:
@@ -233,14 +243,38 @@ def mrt_batches(draw):
 
 
 class TestChannelScale:
-    """Norms that overflow or underflow are rejected instead of yielding
-    zero or non-finite weights; ordinary channels keep their bits."""
+    """Norms that overflow and normalisations beyond float range are
+    rejected instead of yielding zero or non-finite weights; norms of tiny
+    or huge channels are taken on rows scaled by a power of two, and
+    ordinary channels keep their bits."""
 
     @pytest.mark.parametrize("design", [design_mrt, design_smf])
     def test_overflowing_norm_rejected(self, design):
-        ch = ChannelRealization(scaled_channel(1, 4, 1e160), 1.0)
+        # Every entry is finite, but the norm 2e308 is not.
+        ch = ChannelRealization(np.full((1, 4), 1e308, complex), 1.0)
         with pytest.raises(ChannelScaleError, match="the channel norm overflows"):
             design(ch, 1.0, GRID1)
+
+    def test_mrt_radiates_its_budget_on_a_tiny_channel(self):
+        # Unscaled, the squared norm 2.5e-321 is subnormal and the norm
+        # loses bits: tx_power was 1.0000111.
+        ch = ChannelRealization(np.array([[3.0, 4.0]], complex) * 1e-161, 1.0)
+        assert tx_power(design_mrt(ch, 1.0, GRID1)) == 1.0
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-161, 1e-170, 1e-300])
+    def test_mrt_designs_at_any_scale_whose_norm_is_finite(self, scale):
+        ch = ChannelRealization(scaled_channel(1, 4, scale), 1.0)
+        w = design_mrt(ch, 0.5, GRID1)
+        assert tx_power(w) == pytest.approx(0.5, rel=1e-14)
+        unit = design_mrt(ChannelRealization(scaled_channel(1, 4, 1.0), 1.0), 0.5, GRID1)
+        np.testing.assert_allclose(w.w, unit.w, rtol=1e-14)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-170])
+    def test_smf_normalisation_of_extreme_norms_rejected(self, scale):
+        # The norms are finite and nonzero; their sixth powers are not.
+        ch = ChannelRealization(scaled_channel(1, 4, scale), 1.0)
+        with pytest.raises(ChannelScaleError, match="power normalisation .* beta = 3 "):
+            design_smf(ch, 1.0, GRID1)
 
     def test_overflowing_normalisation_rejected(self):
         ch = ChannelRealization(scaled_channel(8, 2, 1e60), 1.0)
@@ -266,12 +300,6 @@ class TestChannelScale:
         ch = ChannelRealization(scaled_channel(1, 4, 1e-160), 1.0)
         with pytest.raises(ChannelScaleError, match="power normalisation"):
             design_mrt(ch, 1e300, GRID1)
-
-    @pytest.mark.parametrize("design", [design_mrt, design_smf])
-    def test_underflowing_norm_is_not_an_all_zero_channel(self, design):
-        ch = ChannelRealization(scaled_channel(1, 4, 1e-170), 1.0)
-        with pytest.raises(ChannelScaleError, match="nonzero channel underflows"):
-            design(ch, 1.0, GRID1)
 
     @pytest.mark.parametrize(
         "design, message",
@@ -299,12 +327,13 @@ class TestChannelScale:
         h, p = case
         expected = per_row_mrt(h, p)
         try:
-            w = design_mrt(ChannelRealization(h, 1.0), p, GRID1).w
+            weights = design_mrt(ChannelRealization(h, 1.0), p, GRID1)
         except ValueError as exc:
             assert (type(exc), str(exc)) == expected
         else:
             assert isinstance(expected, np.ndarray)
-            assert np.array_equal(w, expected)
+            assert np.array_equal(weights.w, expected)
+            np.testing.assert_allclose(tx_power(weights), p, rtol=1e-13)
 
 
 class TestScheme:

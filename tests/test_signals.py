@@ -1,4 +1,4 @@
-"""Tone grids, precoder weights, and waveform synthesis."""
+"""Tone grids, precoder weights, and one-period waveform sampling."""
 
 import dataclasses
 import json
@@ -9,15 +9,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from wptsim.channel import ChannelRealization
-from wptsim.rectifier import ReceivedTones, received_signal
+import wptsim
+from wptsim.rectifier import ReceivedTones
 from wptsim.signals import (
     PrecoderWeights,
     ToneGrid,
     load_weights,
+    period_samples,
     save_weights,
-    synthesize_tx,
     tx_power,
     weights_from_json,
     weights_to_json,
@@ -117,28 +118,48 @@ class TestPrecoderWeights:
             weights.w[0, 0] = 0.0
 
 
-class TestSynthesize:
+class TestPeriodSamples:
     def test_two_inphase_tones_at_zero(self):
-        weights = make_weights([[1.0], [1.0]])
-        np.testing.assert_allclose(synthesize_tx(weights, 0.0), [2.0])
+        y = period_samples(ToneGrid(32e6, 1e6, 2), np.ones(2, complex), 8)
+        assert y[0] == 2.0
 
     def test_quadrature_tone(self):
-        # w = j gives x(0) = 0 and a minimum a quarter period later
-        weights = make_weights([[1j]], f0=4e6, delta_f=1e6)
-        np.testing.assert_allclose(synthesize_tx(weights, 0.0), [0.0], atol=1e-12)
-        np.testing.assert_allclose(
-            synthesize_tx(weights, 1.0 / (4 * 4e6)), [-1.0], atol=1e-9
-        )
+        # a = j at 4 delta_f: y = -sin(2 pi 4 k / 16), a minimum at k = 1
+        y = period_samples(ToneGrid(4e6, 1e6, 1), np.array([1j]), 16)
+        np.testing.assert_allclose(y[:2], [0.0, -1.0], atol=1e-15)
 
-    def test_vector_time_axis_shape(self):
-        weights = make_weights(np.ones((3, 2), dtype=complex))
-        t = np.linspace(0.0, 1e-6, 17)
-        assert synthesize_tx(weights, t).shape == (17, 2)
+    def test_trailing_axes_shape(self):
+        grid = ToneGrid(32e6, 1e6, 3)
+        assert period_samples(grid, np.ones(3, complex), 17).shape == (17,)
+        assert period_samples(grid, np.ones((3, 2, 4), complex), 17).shape == (17, 2, 4)
 
-    def test_rejects_non_finite_time(self):
-        weights = make_weights([[1.0]])
-        with pytest.raises(ValueError):
-            synthesize_tx(weights, np.nan)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        a=hnp.arrays(
+            np.complex128,
+            st.tuples(st.integers(1, 8), st.integers(1, 5)),
+            elements=st.complex_numbers(max_magnitude=1e3, allow_nan=False),
+        ),
+        q0=st.integers(0, 64),
+        extra=st.integers(0, 40),
+    )
+    def test_matrix_is_its_columns_bit_for_bit(self, a, q0, extra):
+        grid = ToneGrid(q0 * 1e6 + 1e5, 1e6, a.shape[0])
+        samples = 1 + extra
+        y = period_samples(grid, a, samples)
+        for m in range(a.shape[1]):
+            assert y[:, m].tobytes() == period_samples(grid, a[:, m], samples).tobytes()
+
+    @pytest.mark.parametrize("shape", [(2,), (4, 3), ()])
+    def test_amplitudes_of_another_tone_count_rejected(self, shape):
+        grid = ToneGrid(32e6, 1e6, 3)
+        with pytest.raises(ValueError, match=r"first axis of 3, the grid's tone count"):
+            period_samples(grid, np.ones(shape, complex), 64)
+
+    @pytest.mark.parametrize("samples", [0, -1, 2.0, True])
+    def test_sample_count_must_be_a_positive_integer(self, samples):
+        with pytest.raises(ValueError, match="samples must be an integer >= 1"):
+            period_samples(ToneGrid(32e6, 1e6, 1), np.ones(1, complex), samples)
 
 
 class TestTxPower:
@@ -157,55 +178,21 @@ class TestTxPower:
             n = int(rng.integers(1, 17))
             m = int(rng.integers(1, 9))
             q0 = int(rng.integers(16, 65))
-            delta_f = 1e6
-            grid = ToneGrid(q0 * delta_f, delta_f, n)
+            grid = ToneGrid(q0 * 1e6, 1e6, n)
             weights = PrecoderWeights(crandn(rng, (n, m)), grid)
-            samples = 8 * (q0 + n)
-            t = np.arange(samples) / (samples * delta_f)
-            x = synthesize_tx(weights, t)
+            x = period_samples(grid, weights.w, 8 * (q0 + n))
             avg = float(np.mean(np.sum(x**2, axis=1)))
             worst = max(worst, abs(avg - tx_power(weights)) / tx_power(weights))
         assert worst <= 1e-9
 
 
-class TestReceivedSignal:
-    def test_identity_channel_reproduces_tx(self):
-        rng = np.random.default_rng(7)
-        weights = make_weights(crandn(rng, (3, 1)))
-        channel = ChannelRealization(h=np.ones((3, 1), dtype=complex), path_loss=1.0)
-        t = np.linspace(0.0, 2e-6, 33)
-        np.testing.assert_allclose(
-            received_signal(weights, channel, t),
-            synthesize_tx(weights, t)[:, 0],
-            rtol=1e-12,
-            atol=1e-12,
-        )
-
-    def test_path_loss_four_halves_amplitude(self):
-        weights = make_weights([[np.sqrt(2.0)]])
-        channel = ChannelRealization(h=np.ones((1, 1), dtype=complex), path_loss=4.0)
-        assert received_signal(weights, channel, 0.0) == pytest.approx(
-            np.sqrt(2.0) / 2.0
-        )
-
-    def test_linear_in_weights(self):
-        rng = np.random.default_rng(8)
-        w1 = crandn(rng, (4, 2))
-        w2 = crandn(rng, (4, 2))
-        grid = ToneGrid(32e6, 1e6, 4)
-        channel = ChannelRealization(h=crandn(rng, (4, 2)), path_loss=2.0)
-        t = np.linspace(0.0, 1e-6, 11)
-        y_sum = received_signal(PrecoderWeights(w1 + w2, grid), channel, t)
-        y_parts = received_signal(
-            PrecoderWeights(w1, grid), channel, t
-        ) + received_signal(PrecoderWeights(w2, grid), channel, t)
-        np.testing.assert_allclose(y_sum, y_parts, rtol=1e-12, atol=1e-12)
-
-    def test_dimension_mismatch_rejected(self):
-        weights = make_weights(np.ones((2, 2)))
-        channel = ChannelRealization(h=np.ones((2, 3), dtype=complex), path_loss=1.0)
-        with pytest.raises(ValueError, match="match"):
-            received_signal(weights, channel, 0.0)
+def test_package_exports_resolve():
+    for name in wptsim.__all__:
+        assert getattr(wptsim, name) is not None, name
+    for removed in ("multisine", "synthesize_tx", "received_signal"):
+        assert removed not in wptsim.__all__
+        for module in (wptsim, wptsim.signals, wptsim.rectifier):
+            assert not hasattr(module, removed), (module.__name__, removed)
 
 
 class TestWeightsIo:
