@@ -4,8 +4,8 @@ Builds far-field power-delivery links out of small composable pieces: tone
 grids and precoders (`signals`), fading channels with power-law path loss
 (`channel`), transmit designs (`design`), a nonlinear rectifier output model
 (`rectifier`), simulated CSI acquisition (`csi`), power-law range analysis
-(`fitlab`), and a deterministic Monte-Carlo harness with a CLI (`harness`,
-`cli`).
+and the reference claim checks (`fitlab`), and a deterministic Monte-Carlo
+harness with a CLI (`harness`, `cli`).
 """
 
 from .channel import (
@@ -34,16 +34,11 @@ from .fitlab import (
     fit_power_law,
     invert_range,
     paper_baseline,
+    paper_check,
     paper_fit,
-    predict_pdc,
     range_gain,
 )
-from .harness import (
-    ExperimentConfig,
-    paper_check,
-    run_cdf,
-    run_sweep,
-)
+from .harness import ExperimentConfig, run_cdf, run_sweep
 from .rectifier import (
     ReceivedTones,
     RectifierParams,
@@ -94,7 +89,6 @@ __all__ = [
     "paper_check",
     "paper_fit",
     "path_loss",
-    "predict_pdc",
     "quantize_csi",
     "range_gain",
     "received_tones",

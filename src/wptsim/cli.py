@@ -24,6 +24,7 @@ from .fitlab import (
     fit_report,
     format_fit_report,
     invert_range,
+    paper_check,
     paper_fit,
     read_measurements_csv,
 )
@@ -32,7 +33,6 @@ from .harness import (
     cdf_to_csv,
     config_from_mapping,
     load_config_file,
-    paper_check,
     run_cdf,
     run_sweep,
     sweep_to_csv,

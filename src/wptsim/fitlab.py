@@ -4,7 +4,8 @@ Measured (or simulated) curves are summarized as p(d) = a d^b by ordinary
 least squares on log p versus log d; inverting a fit turns a target power
 into an operating range, and ratios of inverted ranges quantify how much
 range a design change buys.  A frozen table of reference coefficients from
-a published desk-scale measurement campaign anchors the claim checks.
+a published desk-scale measurement campaign anchors the claim checks:
+`paper_check` reads the campaign's headline range gains off those curves.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import csv_text, integer_at_least, positive_finite, read_csv_entries
-from .signals import read_field
+from .design import SCHEME_KINDS
+from .signals import integer_at_least, positive_finite, read_csv_entries, read_field
 
 MEASUREMENT_FIELDS = ["scheme", "n_tones", "m_antennas", "distance_m", "p_dc"]
 
@@ -82,17 +83,21 @@ PAPER_COEFFICIENTS: tuple[ReferenceCurve, ...] = (
 )
 
 
+_PAPER_FITS = {(e.scheme, e.n_tones, e.m_antennas): e.fit for e in PAPER_COEFFICIENTS}
+# The single-tone, single-antenna baseline is one curve shared by every scheme.
+_PAPER_FITS.update({(s, 1, 1): PAPER_COEFFICIENTS[0].fit for s in SCHEME_KINDS})
+
+
 def paper_fit(scheme: str, n_tones: int, m_antennas: int) -> PowerLawFit:
-    """Look up a reference curve; the (1, 1) baseline answers for any scheme."""
-    for entry in PAPER_COEFFICIENTS:
-        if (entry.n_tones, entry.m_antennas) == (n_tones, m_antennas) and (
-            entry.scheme == scheme or (n_tones, m_antennas) == (1, 1)
-        ):
-            return entry.fit
-    raise ValueError(
-        f"no reference curve for scheme={scheme!r}, n_tones={n_tones}, "
-        f"m_antennas={m_antennas}"
-    )
+    """Look up a reference curve; the (1, 1) baseline answers for every
+    scheme in `SCHEME_KINDS`."""
+    try:
+        return _PAPER_FITS[scheme, n_tones, m_antennas]
+    except KeyError:
+        raise ValueError(
+            f"no reference curve for scheme={scheme!r}, n_tones={n_tones}, "
+            f"m_antennas={m_antennas}"
+        ) from None
 
 
 def paper_baseline() -> PowerLawFit:
@@ -117,12 +122,6 @@ def fit_power_law(records: list[MeasurementRecord]) -> PowerLawFit:
     with np.errstate(over="ignore"):  # PowerLawFit rejects an infinite a
         a = float(np.exp(intercept))
     return PowerLawFit(a=a, b=float(slope))
-
-
-def predict_pdc(fit: PowerLawFit, distance: float) -> float:
-    """Power at a distance under the fitted law."""
-    positive_finite(distance=distance)
-    return fit.a * distance**fit.b
 
 
 def invert_range(fit: PowerLawFit, p_target: float) -> float:
@@ -158,6 +157,80 @@ def compose_cumulative(
     a = base.a * (tone_fit.a / base.a) * (antenna_fit.a / base.a)
     b = base.b + (tone_fit.b - base.b) + (antenna_fit.b - base.b)
     return PowerLawFit(a=a, b=b)
+
+
+# Target power at which the reference range gains are compared.
+PAPER_TARGET_POWER = 2.0
+
+
+@dataclass(frozen=True)
+class ClaimCheck:
+    """One reference claim: a computed value and its acceptance band."""
+
+    name: str
+    value: float
+    lo: float
+    hi: float
+
+    @property
+    def passed(self) -> bool:
+        return self.lo <= self.value <= self.hi
+
+
+@dataclass(frozen=True)
+class PaperCheckReport:
+    checks: tuple[ClaimCheck, ...]
+
+    @property
+    def all_passed(self) -> bool:
+        return all(c.passed for c in self.checks)
+
+    def lines(self) -> list[str]:
+        out = []
+        for c in self.checks:
+            verdict = "PASS" if c.passed else "FAIL"
+            out.append(
+                f"{verdict} {c.name}: {format(c.value, '.9g')} "
+                f"in [{format(c.lo, '.9g')}, {format(c.hi, '.9g')}]"
+            )
+        out.append(
+            "paper-check: "
+            + ("all claims hold" if self.all_passed else "some claims FAILED")
+        )
+        return out
+
+
+def paper_check() -> PaperCheckReport:
+    """Check the headline range and stacking claims of the reference curves.
+
+    Works entirely from the embedded coefficient table, one row per claim:
+    range gains per doubling of tones (expected ~15%) and of antennas
+    (expected ~60-75%), the end-to-end range expansion of the 8-antenna
+    beamformer over the single-tone baseline, the multiplicative stacking
+    of tone and antenna amplitude gains, and the stability of the decay
+    exponent.
+    """
+    base, p = paper_baseline(), PAPER_TARGET_POWER
+    rows = (
+        ("tone-gain-2v1", range_gain(paper_fit("smf", 2, 1), base, p), 1.05, 1.25),
+        ("tone-gain-4v2",
+         range_gain(paper_fit("smf", 4, 1), paper_fit("smf", 2, 1), p), 1.05, 1.25),
+        ("tone-gain-8v4",
+         range_gain(paper_fit("smf", 8, 1), paper_fit("smf", 4, 1), p), 1.05, 1.25),
+        ("antenna-gain-2v1", range_gain(paper_fit("mrt", 1, 2), base, p), 1.50, 1.80),
+        ("antenna-gain-4v2",
+         range_gain(paper_fit("mrt", 1, 4), paper_fit("mrt", 1, 2), p), 1.50, 1.80),
+        ("antenna-gain-8v4",
+         range_gain(paper_fit("mrt", 1, 8), paper_fit("mrt", 1, 4), p), 1.50, 1.80),
+        ("range-expansion-8ant",
+         range_gain(paper_fit("mrt", 1, 8), base, base.a), 3.7, 5.2),
+        ("cumulative-amplitude",
+         compose_cumulative(base, paper_fit("smf", 8, 1), paper_fit("mrt", 1, 4)).a
+         / paper_fit("mrt", 1, 8).a, 0.90, 1.10),
+        ("exponent-stability",
+         max(abs(entry.fit.b + 1.5) for entry in PAPER_COEFFICIENTS), 0.0, 0.10),
+    )
+    return PaperCheckReport(checks=tuple(ClaimCheck(*row) for row in rows))
 
 
 def log_residual_rms(fit: PowerLawFit, records: list[MeasurementRecord]) -> float:
@@ -234,13 +307,3 @@ def read_measurements_csv(path: str) -> list[MeasurementRecord]:
         except ValueError as exc:
             raise ValueError(f"entries[{i}]: {exc}") from None
     return records
-
-
-def write_measurements_csv(path: str, records: list[MeasurementRecord]) -> None:
-    rows = (
-        [r.scheme, r.n_tones, r.m_antennas]
-        + [format(v, ".9g") for v in (r.distance, r.p_dc)]
-        for r in records
-    )
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(csv_text(MEASUREMENT_FIELDS, rows))

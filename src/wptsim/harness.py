@@ -1,4 +1,4 @@
-"""Monte-Carlo experiment driver: sweeps, CDFs, and reference claim checks.
+"""Monte-Carlo experiment driver: sweeps and CDFs.
 
 A run is specified by an `ExperimentConfig` (buildable from a key = value
 text file) and a master seed.  Every channel realization gets its own
@@ -36,13 +36,6 @@ from .design import (
     apply_design,
     check_power_budget,
     effective_channel,
-)
-from .fitlab import (
-    PAPER_COEFFICIENTS,
-    compose_cumulative,
-    paper_baseline,
-    paper_fit,
-    range_gain,
 )
 from .rectifier import RectifierParams, check_comb, received_tones, z_dc
 from .signals import DEFAULT_BAND_LIMIT, DEFAULT_F0, ToneGrid, csv_text
@@ -335,97 +328,6 @@ def cdf_to_csv(curves: list[CdfCurve]) -> str:
             for v, p in zip(c.values, c.positions)
         ),
     )
-
-
-@dataclass(frozen=True)
-class ClaimCheck:
-    """One reference claim: a computed value and its acceptance band."""
-
-    name: str
-    value: float
-    lo: float
-    hi: float
-
-    @property
-    def passed(self) -> bool:
-        return self.lo <= self.value <= self.hi
-
-
-@dataclass(frozen=True)
-class PaperCheckReport:
-    checks: tuple[ClaimCheck, ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def lines(self) -> list[str]:
-        out = []
-        for c in self.checks:
-            verdict = "PASS" if c.passed else "FAIL"
-            out.append(
-                f"{verdict} {c.name}: {format(c.value, '.9g')} "
-                f"in [{format(c.lo, '.9g')}, {format(c.hi, '.9g')}]"
-            )
-        out.append(
-            "paper-check: "
-            + ("all claims hold" if self.all_passed else "some claims FAILED")
-        )
-        return out
-
-
-# Range-gain claims: (name, new curve, reference curve, target power, lo, hi).
-# A curve is a reference curve (scheme, N, M) or "base", the single-tone,
-# single-antenna baseline; the target is `p_target` or the baseline's
-# amplitude "base.a".
-_RANGE_CLAIMS = (
-    ("tone-gain-2v1", ("smf", 2, 1), ("smf", 1, 1), "p_target", 1.05, 1.25),
-    ("tone-gain-4v2", ("smf", 4, 1), ("smf", 2, 1), "p_target", 1.05, 1.25),
-    ("tone-gain-8v4", ("smf", 8, 1), ("smf", 4, 1), "p_target", 1.05, 1.25),
-    ("antenna-gain-2v1", ("mrt", 1, 2), "base", "p_target", 1.50, 1.80),
-    ("antenna-gain-4v2", ("mrt", 1, 4), ("mrt", 1, 2), "p_target", 1.50, 1.80),
-    ("antenna-gain-8v4", ("mrt", 1, 8), ("mrt", 1, 4), "p_target", 1.50, 1.80),
-    ("range-expansion-8ant", ("mrt", 1, 8), "base", "base.a", 3.7, 5.2),
-)
-
-
-def paper_check(p_target: float = 2.0) -> PaperCheckReport:
-    """Check the headline range and stacking claims of the reference curves.
-
-    Works entirely from the embedded coefficient table: range gains per
-    doubling of tones (expected ~15%) and of antennas (expected ~60-75%),
-    the end-to-end range expansion of the 8-antenna beamformer over the
-    single-tone baseline, the multiplicative stacking of tone and antenna
-    amplitude gains, and the stability of the decay exponent.
-    """
-    base = paper_baseline()
-    targets = {"p_target": p_target, "base.a": base.a}
-
-    def curve(key):
-        return base if key == "base" else paper_fit(*key)
-
-    checks = [
-        ClaimCheck(name, range_gain(curve(new), curve(ref), targets[target]), lo, hi)
-        for name, new, ref, target, lo, hi in _RANGE_CLAIMS
-    ]
-    checks += [
-        ClaimCheck(
-            "cumulative-amplitude",
-            compose_cumulative(
-                base, paper_fit("smf", 8, 1), paper_fit("mrt", 1, 4)
-            ).a
-            / paper_fit("mrt", 1, 8).a,
-            0.90,
-            1.10,
-        ),
-        ClaimCheck(
-            "exponent-stability",
-            max(abs(entry.fit.b + 1.5) for entry in PAPER_COEFFICIENTS),
-            0.0,
-            0.10,
-        ),
-    ]
-    return PaperCheckReport(checks=tuple(checks))
 
 
 # --- configuration files ---------------------------------------------------

@@ -126,6 +126,16 @@ def test_tier1_job_runs_a_range_and_rejects_an_unknown_scheme(tmp_path):
     assert float(proc.stdout.splitlines()[0]) > 0
     assert "argument --scheme: invalid choice: 'bogus'" in proc.stdout
     assert "wptsim range --scheme bogus --target 1 " in step["run"]
+    assert (tmp_path / "range.out").read_text() == proc.stdout.splitlines()[0] + "\n"
+    assert "wptsim range --scheme cw --target 1 | cmp - " in step["run"]
+
+
+def test_range_step_fails_when_the_scheme_ranges_differ(tmp_path):
+    # The step must not pass if `--scheme cw` gives another range.
+    script = range_step()["run"].replace(
+        "--scheme cw --target 1", "--scheme cw --target 2"
+    )
+    assert run_step(tmp_path, script).returncode != 0
 
 
 def test_range_step_fails_when_the_unknown_scheme_runs(tmp_path):

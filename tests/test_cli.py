@@ -21,9 +21,9 @@ from wptsim.channel import (
     save_channel,
 )
 from wptsim.design import DesignScheme, apply_design
-from wptsim.fitlab import MEASUREMENT_FIELDS, MeasurementRecord, write_measurements_csv
+from wptsim.fitlab import MEASUREMENT_FIELDS
 from wptsim.harness import CDF_FIELDS, CONFIG_KEYS, SWEEP_FIELDS
-from wptsim.signals import ToneGrid, load_weights, save_weights, tx_power
+from wptsim.signals import ToneGrid, csv_text, load_weights, save_weights, tx_power
 
 
 SRC_DIR = str(Path(cli.__file__).resolve().parents[1])
@@ -60,12 +60,14 @@ def channel_json(tmp_path):
 
 @pytest.fixture
 def measurements_csv(tmp_path):
-    records = []
-    for scheme, n, m, a, b in [("smf", 8, 1, 14.32, -1.577), ("mrt", 1, 4, 37.07, -1.488)]:
-        for d in (0.6, 1.2, 2.4, 4.8):
-            records.append(MeasurementRecord(scheme, n, m, d, a * d**b))
+    curves = [("smf", 8, 1, 14.32, -1.577), ("mrt", 1, 4, 37.07, -1.488)]
+    rows = [
+        [scheme, n, m, d, format(a * d**b, ".9g")]
+        for scheme, n, m, a, b in curves
+        for d in (0.6, 1.2, 2.4, 4.8)
+    ]
     path = tmp_path / "meas.csv"
-    write_measurements_csv(str(path), records)
+    path.write_text(csv_text(MEASUREMENT_FIELDS, rows), encoding="utf-8")
     return str(path)
 
 
@@ -998,7 +1000,7 @@ class TestPaperCheck:
         assert out.read_text().count("PASS") == 9
 
     def test_failing_claims_exit_two(self, monkeypatch, capsys):
-        from wptsim.harness import ClaimCheck, PaperCheckReport
+        from wptsim.fitlab import ClaimCheck, PaperCheckReport
 
         def broken():
             return PaperCheckReport(checks=(ClaimCheck("made-up", 9.0, 0.0, 1.0),))

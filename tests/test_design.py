@@ -248,11 +248,20 @@ class TestChannelScale:
     or huge channels are taken on rows scaled by a power of two, and
     ordinary channels keep their bits."""
 
+    # Every entry is finite, but the norm (2e308, or 2.4e308 from one entry's
+    # modulus) is not; the message states the largest real or imaginary part,
+    # which stays finite.
+    @pytest.mark.parametrize(
+        "h, peak",
+        [(np.full((1, 4), 1e308, complex), r"1e\+308"),
+         (np.array([[1.7e308 + 1.7e308j, 1.0]]), r"1\.7e\+308")],
+        ids=["norm", "modulus"],
+    )
     @pytest.mark.parametrize("design", [design_mrt, design_smf])
-    def test_overflowing_norm_rejected(self, design):
-        # Every entry is finite, but the norm 2e308 is not.
-        ch = ChannelRealization(np.full((1, 4), 1e308, complex), 1.0)
-        with pytest.raises(ChannelScaleError, match="the channel norm overflows"):
+    def test_overflowing_norm_rejected(self, design, h, peak):
+        ch = ChannelRealization(h, 1.0)
+        message = rf"norm overflows \(largest channel entry magnitude {peak}\)$"
+        with pytest.raises(ChannelScaleError, match=message):
             design(ch, 1.0, GRID1)
 
     def test_mrt_radiates_its_budget_on_a_tiny_channel(self):

@@ -1,4 +1,5 @@
-"""Power-law fitting, range inversion, and the reference coefficient table."""
+"""Power-law fitting, range inversion, the reference coefficient table and
+the claim checks read off it."""
 
 import json
 import math
@@ -10,10 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wptsim
+from wptsim import cli, harness
+from wptsim.design import SCHEME_KINDS
 from wptsim.fitlab import (
     MEASUREMENT_FIELDS,
     PAPER_COEFFICIENTS,
+    ClaimCheck,
     MeasurementRecord,
+    PaperCheckReport,
     PowerLawFit,
     compose_cumulative,
     fit_power_law,
@@ -23,12 +29,12 @@ from wptsim.fitlab import (
     invert_range,
     log_residual_rms,
     paper_baseline,
+    paper_check,
     paper_fit,
-    predict_pdc,
     range_gain,
     read_measurements_csv,
-    write_measurements_csv,
 )
+from wptsim.signals import csv_text
 
 
 def synth_records(a, b, distances, scheme="smf", n=1, m=1, noise=None, rng=None):
@@ -80,17 +86,14 @@ class TestPowerLawFit:
 class TestPredictAndInvert:
     FIT = PowerLawFit(a=8.081, b=-1.553)
 
-    def test_predict_at_unit_distance(self):
-        assert predict_pdc(self.FIT, 1.0) == pytest.approx(8.081, rel=1e-12)
-
-    def test_predict_regression_value(self):
-        assert predict_pdc(self.FIT, 2.0) == pytest.approx(
-            2.754010067362486, rel=1e-12
+    def test_invert_regression_value(self):
+        assert invert_range(self.FIT, 2.754010067362486) == pytest.approx(
+            2.0, rel=1e-12
         )
 
-    def test_invert_round_trips_predict(self):
+    def test_invert_round_trips_the_law(self):
         for d in (0.5, 1.0, 2.7, 5.0):
-            p = predict_pdc(self.FIT, d)
+            p = self.FIT.a * d**self.FIT.b
             assert invert_range(self.FIT, p) == pytest.approx(d, rel=1e-12)
 
     def test_scale_equivariance(self):
@@ -101,8 +104,6 @@ class TestPredictAndInvert:
         assert scaled / base == pytest.approx(s ** (1.0 / self.FIT.b), rel=1e-12)
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            predict_pdc(self.FIT, 0.0)
         with pytest.raises(ValueError):
             invert_range(self.FIT, 0.0)
 
@@ -166,16 +167,94 @@ class TestReferenceTable:
         assert ant_a == sorted(ant_a)
         assert paper_baseline().a < ant_a[0]
 
-    def test_baseline_answers_any_scheme(self):
-        assert paper_fit("mrt", 1, 1) == paper_fit("smf", 1, 1)
+    @pytest.mark.parametrize("scheme", SCHEME_KINDS)
+    def test_baseline_answers_every_known_scheme(self, scheme):
+        assert paper_fit(scheme, 1, 1) == paper_baseline()
 
-    def test_unknown_configuration_rejected(self):
-        with pytest.raises(ValueError, match="no reference curve"):
-            paper_fit("smf", 3, 1)
+    # The baseline answers for no scheme outside SCHEME_KINDS.
+    @pytest.mark.parametrize("key", [("smf", 3, 1), ("bogus", 1, 1)])
+    def test_unknown_configuration_rejected(self, key):
+        message = f"no reference curve for scheme={key[0]!r}"
+        with pytest.raises(ValueError, match=message):
+            paper_fit(*key)
 
     def test_exponents_near_minus_three_halves(self):
         for entry in PAPER_COEFFICIENTS:
             assert abs(entry.fit.b + 1.5) <= 0.10
+
+
+# `wptsim paper-check` stdout, byte for byte.
+PAPER_CHECK_STDOUT = """\
+PASS tone-gain-2v1: 1.15682417 in [1.05, 1.25]
+PASS tone-gain-4v2: 1.13989423 in [1.05, 1.25]
+PASS tone-gain-8v4: 1.07519924 in [1.05, 1.25]
+PASS antenna-gain-2v1: 1.70588014 in [1.5, 1.8]
+PASS antenna-gain-4v2: 1.69708806 in [1.5, 1.8]
+PASS antenna-gain-8v4: 1.74480273 in [1.5, 1.8]
+PASS range-expansion-8ant: 4.63362354 in [3.7, 5.2]
+PASS cumulative-amplitude: 0.925605 in [0.9, 1.1]
+PASS exponent-stability: 0.083 in [0, 0.1]
+paper-check: all claims hold
+"""
+
+
+class TestPaperCheck:
+    def test_all_reference_claims_hold(self):
+        report = paper_check()
+        assert report.all_passed
+        assert len(report.checks) == 9
+
+    def test_check_names(self):
+        names = [c.name for c in paper_check().checks]
+        assert names == [
+            "tone-gain-2v1",
+            "tone-gain-4v2",
+            "tone-gain-8v4",
+            "antenna-gain-2v1",
+            "antenna-gain-4v2",
+            "antenna-gain-8v4",
+            "range-expansion-8ant",
+            "cumulative-amplitude",
+            "exponent-stability",
+        ]
+
+    def test_frozen_values(self):
+        # Exact: every value is the float the table's arithmetic gives.
+        values = {c.name: c.value for c in paper_check().checks}
+        assert values == {
+            "tone-gain-2v1": 1.156824165211502,
+            "tone-gain-4v2": 1.1398942263077503,
+            "tone-gain-8v4": 1.0751992387683786,
+            "antenna-gain-2v1": 1.7058801395140055,
+            "antenna-gain-4v2": 1.697088062168756,
+            "antenna-gain-8v4": 1.7448027335459173,
+            "range-expansion-8ant": 4.633623544910529,
+            "cumulative-amplitude": 0.925605000113599,
+            "exponent-stability": 0.08299999999999996,
+        }
+
+    def test_report_lines(self, capsys):
+        assert "\n".join(paper_check().lines()) + "\n" == PAPER_CHECK_STDOUT
+        assert cli.main(["paper-check"]) == 0
+        assert capsys.readouterr().out == PAPER_CHECK_STDOUT
+
+    def test_failing_report_lines(self):
+        report = PaperCheckReport(
+            checks=(ClaimCheck("made-up", 0.5, 1.0, 2.0),)
+        )
+        assert not report.all_passed
+        assert report.lines()[0].startswith("FAIL made-up")
+        assert report.lines()[-1].endswith("some claims FAILED")
+
+    def test_claims_live_in_fitlab_only(self):
+        assert wptsim.paper_check is wptsim.fitlab.paper_check
+        for name in ("ClaimCheck", "PaperCheckReport", "paper_check"):
+            assert not hasattr(harness, name)
+        # The harness takes nothing from fitlab.
+        assert not [
+            name for name, value in vars(harness).items()
+            if getattr(value, "__module__", None) == "wptsim.fitlab"
+        ]
 
 
 class TestFitReport:
@@ -208,11 +287,22 @@ class TestFitReport:
         assert log_residual_rms(fit, recs) == pytest.approx(1.0, rel=1e-12)
 
 
+def write_records(path, records):
+    """A measurement file of `records`, floats at nine significant digits."""
+    rows = (
+        [r.scheme, r.n_tones, r.m_antennas]
+        + [format(v, ".9g") for v in (r.distance, r.p_dc)]
+        for r in records
+    )
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(csv_text(MEASUREMENT_FIELDS, rows))
+
+
 class TestMeasurementCsv:
     def test_round_trip(self, tmp_path):
         recs = synth_records(8.081, -1.553, (0.6, 1.2), scheme="smf", n=8, m=1)
         path = tmp_path / "meas.csv"
-        write_measurements_csv(str(path), recs)
+        write_records(path, recs)
         loaded = read_measurements_csv(str(path))
         assert [r.scheme for r in loaded] == ["smf", "smf"]
         assert loaded[0].distance == pytest.approx(0.6, rel=1e-9)
@@ -247,9 +337,9 @@ class TestMeasurementCsvRoundTrip:
     def test_records_return_at_nine_digits_and_rewrite_identically(self, records):
         with tempfile.TemporaryDirectory() as tmp:
             first, second = os.path.join(tmp, "a.csv"), os.path.join(tmp, "b.csv")
-            write_measurements_csv(first, records)
+            write_records(first, records)
             loaded = read_measurements_csv(first)
-            write_measurements_csv(second, loaded)
+            write_records(second, loaded)
             with open(first, "rb") as fa, open(second, "rb") as fb:
                 assert fa.read() == fb.read()
         assert loaded == [

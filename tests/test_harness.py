@@ -1,5 +1,5 @@
-"""Experiment driver: reproducibility, stream independence, claim checks,
-and the config-file front end."""
+"""Experiment driver: reproducibility, stream independence, and the
+config-file front end."""
 
 import math
 import re
@@ -17,13 +17,10 @@ from wptsim.harness import (
     CDF_FIELDS,
     CONFIG_KEYS,
     SWEEP_FIELDS,
-    ClaimCheck,
     ExperimentConfig,
-    PaperCheckReport,
     cdf_to_csv,
     config_from_mapping,
     load_config_file,
-    paper_check,
     parse_config_text,
     run_cdf,
     run_sweep,
@@ -431,62 +428,6 @@ class TestCdf:
         (curve,) = run_cdf(cfg)
         with pytest.raises(ValueError):
             curve.values[0] = 0.0
-
-
-class TestPaperCheck:
-    def test_all_reference_claims_hold(self):
-        report = paper_check()
-        assert report.all_passed
-        assert len(report.checks) == 9
-
-    def test_check_names(self):
-        names = [c.name for c in paper_check().checks]
-        assert names == [
-            "tone-gain-2v1",
-            "tone-gain-4v2",
-            "tone-gain-8v4",
-            "antenna-gain-2v1",
-            "antenna-gain-4v2",
-            "antenna-gain-8v4",
-            "range-expansion-8ant",
-            "cumulative-amplitude",
-            "exponent-stability",
-        ]
-
-    def test_frozen_values(self):
-        values = {c.name: c.value for c in paper_check().checks}
-        assert values["tone-gain-2v1"] == pytest.approx(1.156824165211502, rel=1e-12)
-        assert values["tone-gain-4v2"] == pytest.approx(1.1398942263077503, rel=1e-12)
-        assert values["tone-gain-8v4"] == pytest.approx(1.0751992387683786, rel=1e-12)
-        assert values["antenna-gain-2v1"] == pytest.approx(
-            1.7058801395140055, rel=1e-12
-        )
-        assert values["antenna-gain-4v2"] == pytest.approx(
-            1.697088062168756, rel=1e-12
-        )
-        assert values["antenna-gain-8v4"] == pytest.approx(
-            1.7448027335459173, rel=1e-12
-        )
-        assert values["range-expansion-8ant"] == pytest.approx(
-            4.633623544910529, rel=1e-12
-        )
-        assert values["cumulative-amplitude"] == pytest.approx(
-            65.69018685806212 / 70.97, rel=1e-12
-        )
-        assert values["exponent-stability"] == pytest.approx(0.083, rel=1e-9)
-
-    def test_report_lines(self):
-        lines = paper_check().lines()
-        assert lines[0].startswith("PASS tone-gain-2v1: 1.15682417 in [1.05, 1.25]")
-        assert lines[-1] == "paper-check: all claims hold"
-
-    def test_failing_report_lines(self):
-        report = PaperCheckReport(
-            checks=(ClaimCheck("made-up", 0.5, 1.0, 2.0),)
-        )
-        assert not report.all_passed
-        assert report.lines()[0].startswith("FAIL made-up")
-        assert report.lines()[-1].endswith("some claims FAILED")
 
 
 class TestConfigParsing:

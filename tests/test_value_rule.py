@@ -19,7 +19,7 @@ from wptsim.channel import (
 )
 from wptsim.csi import CsiConfig, quantize_csi
 from wptsim.design import design_cw, design_mrt, design_smf, design_up
-from wptsim.fitlab import MeasurementRecord, PowerLawFit, invert_range, predict_pdc
+from wptsim.fitlab import MeasurementRecord, PowerLawFit, invert_range
 from wptsim.harness import ExperimentConfig
 from wptsim.rectifier import RectifierParams, scaling_law_ca
 from wptsim.signals import (
@@ -48,7 +48,6 @@ CALLS = {
         "path_loss", lambda v: scaling_law_ca(PARAMS, v, 1.0, 8, 2)
     ),
     "scaling_law_ca/p": ("p", lambda v: scaling_law_ca(PARAMS, 263.0, v, 8, 2)),
-    "predict_pdc": ("distance", lambda v: predict_pdc(FIT, v)),
     "invert_range": ("p_target", lambda v: invert_range(FIT, v)),
     "path_loss": ("distance", lambda v: path_loss(ChannelModel(), v)),
 }
