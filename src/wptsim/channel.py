@@ -12,8 +12,10 @@ ensembles come from `derive_seed`, a counter-style split of one master seed,
 so ensembles are reproducible no matter how the work is scheduled.  Every
 seeded CN(0, 1) draw, channel taps and CSI noise alike, goes through
 `unit_normals`, which re-keys one Philox per process for each seed instead
-of building a generator per seed; `make_rng` and `complex_normal` stay as
-the reference definitions it reproduces bit for bit.
+of building a generator per seed.  A single seed is the batch of one: it
+takes the same key, fill and assembly steps as a block of seeds.
+`make_rng` and `complex_normal` stay as the reference definitions it
+reproduces bit for bit.
 
 A realization is its response `h` and its path loss: distance enters only
 through `path_loss`.  It is stored in one file format, JSON (`save_channel`
@@ -156,8 +158,7 @@ _SQRT2 = math.sqrt(2.0)
 
 def _complex_unit(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """(re + 1j * im) / sqrt(2), the arithmetic of `complex_normal`, in one
-    complex buffer.  np.multiply keeps numpy's arithmetic when `im` is a
-    numpy float scalar, which `1j * im` would turn into a Python complex."""
+    complex buffer."""
     z = np.multiply(1j, im)
     z += re
     z /= _SQRT2
@@ -184,31 +185,6 @@ def _philox() -> tuple:
     return bitgen, np.random.Generator(bitgen), state
 
 
-def _fill_normals(keys, blocks) -> None:
-    """Fill each block with the standard normals of a Philox holding the
-    matching key, as `make_rng` of that key's seed would draw them.
-
-    The re-keys and draws run under the bit generator's lock (an RLock,
-    which the draw itself takes again), so threads never interleave them.
-    """
-    bitgen, rng, state = _philox()
-    stream = state["state"]
-    with bitgen.lock:
-        for key, out in zip(keys, blocks):
-            stream["key"] = key
-            bitgen.state = state
-            rng.standard_normal(out=out)
-
-
-def _one_seed_normals(seed: int, shape) -> np.ndarray:
-    """`complex_normal(make_rng(seed), shape)` through the re-keyed Philox,
-    its key from numpy's own SeedSequence hash."""
-    words = np.random.SeedSequence(seed).generate_state(4).tolist()
-    draws = np.empty((2, *shape))
-    _fill_normals([[words[0] | words[1] << 32, words[2] | words[3] << 32]], [draws])
-    return _complex_unit(draws[0], draws[1])
-
-
 def unit_normals(seeds, shape) -> np.ndarray:
     """CN(0, 1) draws of shape seeds.shape + shape, one block per seed.
 
@@ -219,24 +195,40 @@ def unit_normals(seeds, shape) -> np.ndarray:
     [0, 2**64), scalar or not, as `seed_array` checks.
 
     Every seed re-keys the same per-process Philox instead of building a
-    SeedSequence, a Philox and a Generator of its own.  A scalar seed is the
-    batch of one, keyed by numpy's SeedSequence; an array of seeds takes
-    its keys from `philox_keys`, one hash over the whole block.
+    SeedSequence, a Philox and a Generator of its own.  One seed, scalar or
+    a batch of one, takes its key from numpy's SeedSequence, about ten times
+    cheaper than the block hash on one seed; more seeds take theirs from
+    `philox_keys`, one hash over the whole block.  The re-keys and draws run
+    under the bit generator's lock (an RLock, which the draw itself takes
+    again), so threads never interleave them.
     """
     # An in-range Python int, the per-realization caller's seed, skips
     # seed_array's ~3 us.
     if isinstance(seeds, int) and 0 <= seeds < 2**64:
-        return _one_seed_normals(seeds, shape)
-    seeds = seed_array(seeds)
-    if seeds.ndim == 0:
-        return _one_seed_normals(int(seeds), shape)
-    keys = philox_keys(seeds)
+        batch, flat = (), [seeds]
+    else:
+        seeds = seed_array(seeds)
+        batch, flat = seeds.shape, seeds.reshape(-1)
+    if len(flat) == 1:
+        # As in derive_seed, numpy's hash takes uint32 words (a seed below
+        # 2**32 pads to the same pool), and the key is built from four words
+        # rather than by generate_state(2, np.uint64): both are cheaper.
+        seed = int(flat[0])
+        entropy = np.array([seed & _MASK32, seed >> 32], dtype=np.uint32)
+        words = np.random.SeedSequence(entropy).generate_state(4).tolist()
+        keys = [[words[0] | words[1] << 32, words[2] | words[3] << 32]]
+    else:
+        keys = philox_keys(flat).tolist()
     shape = tuple(shape)
-    draws = np.empty(keys.shape[:-1] + (2,) + shape)
-    _fill_normals(
-        keys.reshape(-1, 2).tolist(), draws.reshape((keys.size // 2, 2) + shape)
-    )
-    return _complex_unit(*np.moveaxis(draws, keys.ndim - 1, 0))
+    draws = np.empty((len(flat), 2, *shape))
+    bitgen, rng, state = _philox()
+    stream = state["state"]
+    with bitgen.lock:
+        for key, out in zip(keys, draws):
+            stream["key"] = key
+            bitgen.state = state
+            rng.standard_normal(out=out)
+    return _complex_unit(draws[:, 0], draws[:, 1]).reshape(batch + shape)
 
 
 @dataclass(frozen=True)

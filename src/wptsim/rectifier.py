@@ -21,6 +21,7 @@ the oracle of the Monte-Carlo sweep means.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,7 +139,9 @@ def z_dc(tones: ReceivedTones, params: RectifierParams):
     with np.errstate(over="ignore", invalid="ignore"):
         m2 = moment2(tones)
         m4 = moment4(tones)
-        z = params.k2 * params.r_ant * m2 + params.k4 * params.r_ant**2 * m4
+        # R * R overflows to inf, which is reported below; R**2 would raise.
+        r2 = params.r_ant * params.r_ant
+        z = params.k2 * params.r_ant * m2 + params.k4 * r2 * m4
     if not np.isfinite(z).all():
         raise ValueError(
             "z_dc overflows: it grows with power_budget, k2, k4 and r_ant and "
@@ -170,7 +173,8 @@ def z_dc_time_oracle(tones: ReceivedTones, params: RectifierParams) -> float:
     y = period_samples(tones.grid, tones.a, samples)
     m2 = float(np.mean(y**2))
     m4 = float(np.mean(y**4))
-    return params.k2 * params.r_ant * m2 + params.k4 * params.r_ant**2 * m4
+    r2 = params.r_ant * params.r_ant
+    return params.k2 * params.r_ant * m2 + params.k4 * r2 * m4
 
 
 def scaling_law_ca(
@@ -195,9 +199,18 @@ def scaling_law_ca(
     positive_finite(path_loss=path_loss, p=p)
     integer_at_least(1, n_tones=n_tones, m_antennas=m_antennas)
     n, m = int(n_tones), int(m_antennas)  # numpy counts such as uint8 wrap
-    second = params.k2 * params.r_ant * p * m / path_loss
-    fourth = (
-        0.375 * params.k4 * params.r_ant**2 * (2.0 * p / (n * path_loss)) ** 2
-        * ((2 * n**3 + n) // 3) * m * (m + 1)
-    )
-    return second + fourth
+    try:
+        second = params.k2 * params.r_ant * p * m / path_loss
+        fourth = (
+            0.375 * params.k4 * params.r_ant**2 * (2.0 * p / (n * path_loss)) ** 2
+            * ((2 * n**3 + n) // 3) * m * (m + 1)
+        )
+        mean = second + fourth
+    except OverflowError:  # a float power, or a count too large for a float
+        mean = math.inf
+    if not math.isfinite(mean):
+        raise ValueError(
+            "scaling_law_ca overflows: it grows with p, k2, k4, r_ant, n_tones "
+            "and m_antennas and falls with path_loss"
+        )
+    return mean

@@ -144,6 +144,40 @@ def test_range_step_fails_when_the_unknown_scheme_runs(tmp_path):
     assert run_step(tmp_path, script).returncode != 0
 
 
+def overflow_step():
+    return tier1_step("Overflow console script", after="Range console script")
+
+
+def test_tier1_job_reports_an_r_ant_overflow_in_one_line(tmp_path):
+    step = overflow_step()
+    assert step["shell"] == "bash"
+    proc = run_step(tmp_path, step["run"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("error: smf N=1 M=4 d=1: z_dc overflows: ")
+    err = (tmp_path / "overflow.err").read_text(encoding="utf-8")
+    assert err == proc.stdout and "Traceback" not in err
+    cfg = (tmp_path / "overflow.cfg").read_text(encoding="utf-8")
+    for line in ("schemes = smf", "tones = 1", "antennas = 4", "realizations = 2",
+                 "seed = 917", "r_ant = 1e300"):
+        assert f"{line}\n" in cfg
+
+
+def test_overflow_step_fails_when_the_sweep_runs(tmp_path):
+    # The step must not pass if the sweep ends without the overflow error.
+    script = overflow_step()["run"].replace("'r_ant = 1e300'", "'r_ant = 50'")
+    assert run_step(tmp_path, script).returncode != 0
+
+
+def test_overflow_step_fails_on_a_traceback(tmp_path):
+    # The step must not pass if a traceback comes before the error line.
+    sweep = 'wptsim sweep --config "$cfg"'
+    script = overflow_step()["run"].replace(
+        sweep, f"{{ echo 'Traceback (most recent call last):' >&2; {sweep}; }}"
+    )
+    assert script != overflow_step()["run"]
+    assert run_step(tmp_path, script).returncode != 0
+
+
 def test_console_script_resolves_to_cli_main():
     tomllib = pytest.importorskip("tomllib")
     with open(ROOT / "pyproject.toml", "rb") as fh:

@@ -831,6 +831,16 @@ class TestCellErrors:
                               "normalisation is not positive and finite for this "
                               "power budget and beta = 400 (")
 
+    def test_r_ant_overflow_names_the_cell_without_a_traceback(self, tmp_path):
+        # R**2 as a float power raised a bare OverflowError above R ~ 1.34e154.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("schemes = smf\ntones = 1\nantennas = 4\nrealizations = 2\n"
+                       "seed = 917\nr_ant = 1e300\n")
+        code, out, err = _wptsim("sweep", "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: smf N=1 M=4 d=1: z_dc overflows: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
 
 FLOAT_KEYS = [
     "power_budget", "beta", "f0", "band_limit",

@@ -5,7 +5,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wptsim.channel import ChannelRealization, complex_normal, make_rng
@@ -283,6 +283,46 @@ class TestScalingLaws:
     def test_rejects_bad_arguments(self, call):
         with pytest.raises(ValueError):
             call()
+
+
+# Log-uniform on [1e-300, 1e300]: settings that RectifierParams accepts.
+log_uniform = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+
+
+class TestOverflowIsAValueError:
+    """A finite input whose output overflows raises ValueError, never a bare
+    OverflowError."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(k2=log_uniform, k4=log_uniform, r_ant=log_uniform,
+           a=st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3))
+    @example(k2=PARAMS.k2, k4=PARAMS.k4, r_ant=1e300, a=1j)
+    def test_z_dc(self, k2, k4, r_ant, a):
+        params = RectifierParams(k2=k2, k4=k4, r_ant=r_ant)
+        try:
+            z = z_dc(make_tones([a, 0.5 * a]), params)
+        except ValueError as error:
+            assert str(error).startswith("z_dc overflows: ")
+        else:
+            assert np.isfinite(z)
+
+    @settings(max_examples=200, deadline=None)
+    @given(k2=log_uniform, k4=log_uniform, r_ant=log_uniform,
+           path_loss=log_uniform, p=log_uniform)
+    @example(k2=PARAMS.k2, k4=PARAMS.k4, r_ant=1e300, path_loss=1.0, p=1.0)
+    @example(k2=PARAMS.k2, k4=PARAMS.k4, r_ant=PARAMS.r_ant, path_loss=1.0, p=1e200)
+    def test_scaling_law_ca(self, k2, k4, r_ant, path_loss, p):
+        params = RectifierParams(k2=k2, k4=k4, r_ant=r_ant)
+        try:
+            mean = scaling_law_ca(params, path_loss, p, 8, 4)
+        except ValueError as error:
+            assert str(error).startswith("scaling_law_ca overflows: ")
+        else:
+            assert np.isfinite(mean)
+
+    def test_scaling_law_ca_on_a_count_beyond_float_range(self):
+        with pytest.raises(ValueError, match="^scaling_law_ca overflows: "):
+            scaling_law_ca(PARAMS, 1.0, 1.0, 10**110, 1)
 
 
 class TestMoment4Speed:
