@@ -18,22 +18,21 @@ takes the same key, fill and assembly steps as a block of seeds.
 reproduces bit for bit.
 
 A realization is its response `h` and its path loss: distance enters only
-through `path_loss`.  It is stored in one file format, JSON (`save_channel`
-and `load_channel`), which replays it bit for bit.
+through `path_loss`.  It is stored as a matrix document headed by
+`path_loss` (`save_channel`, `load_channel`), which replays it bit for bit.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import ToneGrid, entries_from_json, entries_to_json, read_field
-from .signals import frozen_complex, integer_at_least, load_json, positive_finite
+from .signals import ToneGrid, frozen_complex, integer_at_least, load_json, read_field
+from .signals import matrix_from_json, matrix_to_json, positive_finite, save_json
 
 DEFAULT_PATH_LOSS_REF = 263.0
 DEFAULT_PATH_LOSS_EXPONENT = 1.55
@@ -374,30 +373,19 @@ def sample_channel(
 
 
 def channel_to_json(channel: ChannelRealization) -> dict:
-    """JSON-ready dict form; floats carry full precision for exact replay."""
-    return {
-        "path_loss": channel.path_loss,
-        "n_tones": channel.n_tones,
-        "m_antennas": channel.m_antennas,
-        "entries": entries_to_json(channel.h),
-    }
+    """The matrix document of `h` headed by `path_loss`, floats at full precision."""
+    return matrix_to_json(channel.h, path_loss=channel.path_loss)
 
 
 def channel_from_json(data: dict) -> ChannelRealization:
     """Inverse of `channel_to_json`; other keys, such as the `distance` that
     older versions wrote, are ignored."""
-    dims = read_field(data, "n_tones", int), read_field(data, "m_antennas", int)
-    return ChannelRealization(
-        h=entries_from_json(data.get("entries"), *dims),
-        path_loss=read_field(data, "path_loss"),
-    )
+    return ChannelRealization(matrix_from_json(data), read_field(data, "path_loss"))
 
 
 def save_channel(channel: ChannelRealization, path: str) -> None:
     """Write the JSON of `channel_to_json`, whatever the extension of `path`."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(channel_to_json(channel), fh, indent=2)
-        fh.write("\n")
+    save_json(channel_to_json(channel), path)
 
 
 def load_channel(path: str) -> ChannelRealization:

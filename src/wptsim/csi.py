@@ -99,12 +99,13 @@ def ls_estimate(h: np.ndarray, noise_seed, cfg: CsiConfig) -> np.ndarray:
 def quantize_csi(h: np.ndarray, bits_per_component: int) -> np.ndarray:
     """Midtread uniform quantizer on real and imaginary parts.
 
-    Each matrix (the last two axes of `h`) has its own step 2 X / (2^b - 1),
+    Each matrix (the last two axes of `h`) has its own step X / ((2^b - 1) / 2),
     with X its largest component magnitude, and q(x) = step * round(x / step):
     zero is always representable and no component moves by more than half a
-    step.  A matrix whose step underflows to zero, all-zero or not, is
-    returned unchanged (each component is already the nearest float to its
-    level).  `bits_per_component` must pass `check_quant_bits`.
+    step.  A matrix whose step underflows to zero is returned unchanged (each
+    component is already the nearest float to its level), and one with a
+    level past the largest float raises ValueError.  `bits_per_component`
+    must pass `check_quant_bits`.
     """
     check_quant_bits(bits_per_component)
     h = frozen_complex(h, "h", ("n_tones", "m_antennas"))
@@ -112,10 +113,17 @@ def quantize_csi(h: np.ndarray, bits_per_component: int) -> np.ndarray:
         np.max(np.abs(h.real), axis=(-2, -1), initial=0.0, keepdims=True),
         np.max(np.abs(h.imag), axis=(-2, -1), initial=0.0, keepdims=True),
     )
-    step = 2.0 * peak / (2.0**bits_per_component - 1.0)
+    # 2 * peak / (2^b - 1) overflows for a peak above max / 2; this cannot.
+    step = peak / ((2.0**bits_per_component - 1.0) / 2.0)
     nonzero = step > 0.0
     step = np.where(nonzero, step, 1.0)
-    q = step * np.round(h.real / step) + 1j * step * np.round(h.imag / step)
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = step * np.round(h.real / step) + 1j * step * np.round(h.imag / step)
+    if not np.isfinite(q).all():
+        raise ValueError(
+            f"h: quant_bits = {bits_per_component} rounds its largest component "
+            "to a level past the largest float"
+        )
     return np.where(nonzero, q, h)
 
 

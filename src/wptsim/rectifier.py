@@ -134,14 +134,18 @@ def z_dc(tones: ReceivedTones, params: RectifierParams):
     """Rectifier DC output k2 R m2 + k4 R^2 m4 (model units), per reception.
 
     Finite tones can still overflow the fourth moment or the output; that
-    raises ValueError rather than returning inf or nan.
+    raises ValueError rather than returning inf or nan (`_dc_output`).
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        m2 = moment2(tones)
-        m4 = moment4(tones)
-        # R * R overflows to inf, which is reported below; R**2 would raise.
-        r2 = params.r_ant * params.r_ant
-        z = params.k2 * params.r_ant * m2 + params.k4 * r2 * m4
+        return _dc_output(moment2(tones), moment4(tones), params)
+
+
+def _dc_output(m2, m4, params: RectifierParams):
+    """k2 R m2 + k4 R^2 m4, the output of `z_dc` and `z_dc_time_oracle` under
+    their np.errstate; ValueError "z_dc overflows: ..." where it is not finite."""
+    # R * R overflows to inf, which is reported below; R**2 would raise.
+    r2 = params.r_ant * params.r_ant
+    z = params.k2 * params.r_ant * m2 + params.k4 * r2 * m4
     if not np.isfinite(z).all():
         raise ValueError(
             "z_dc overflows: it grows with power_budget, k2, k4 and r_ant and "
@@ -162,7 +166,7 @@ def min_oracle_samples(tones: ReceivedTones) -> int:
 def z_dc_time_oracle(tones: ReceivedTones, params: RectifierParams) -> float:
     """Recompute z_dc from the averages of y^2 and y^4 over
     `min_oracle_samples` uniform samples of one period of y(t)
-    (`signals.period_samples`)."""
+    (`signals.period_samples`); `_dc_output` combines them as `z_dc` does."""
     require_single(tones.a, core_ndim=1)
     samples = min_oracle_samples(tones)
     if samples > _MAX_ORACLE_SAMPLES:
@@ -171,10 +175,8 @@ def z_dc_time_oracle(tones: ReceivedTones, params: RectifierParams) -> float:
             f"{samples} samples would be required"
         )
     y = period_samples(tones.grid, tones.a, samples)
-    m2 = float(np.mean(y**2))
-    m4 = float(np.mean(y**4))
-    r2 = params.r_ant * params.r_ant
-    return params.k2 * params.r_ant * m2 + params.k4 * r2 * m4
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _dc_output(float(np.mean(y**2)), float(np.mean(y**4)), params)
 
 
 def scaling_law_ca(

@@ -7,9 +7,10 @@ rectifier's time oracle and the transmit-power tests take time averages.
 Weight matrices are array-first: ``w`` has shape ``(..., n_tones,
 m_antennas)``, and any leading axes index independent realizations.  A 2-D
 matrix is the batch of one; per-realization quantities then come back as a
-float instead of an array.  The file codecs take a single realization
-only.  Every CSV table the program reads or writes goes through `csv_text`
-and `read_csv_entries`.  `positive_finite` checks every positive, finite
+float instead of an array.  Channel and weight files are one JSON matrix
+document of a single realization (`matrix_to_json`, `matrix_from_json`).
+Every CSV table the program reads or writes goes through `csv_text` and
+`read_csv_entries`.  `positive_finite` checks every positive, finite
 setting, `integer_at_least` every count, and `frozen_complex` builds every
 complex array a value class holds.
 """
@@ -230,24 +231,30 @@ def read_csv_entries(path: str, fields) -> list[dict]:
     return rows
 
 
-def entries_to_json(matrix: np.ndarray) -> list[dict]:
-    """One {tone, antenna, real, imag} entry per element, in row-major order."""
+def matrix_to_json(matrix: np.ndarray, **header) -> dict:
+    """The `header` keys, then `n_tones`, `m_antennas` and one {tone, antenna,
+    real, imag} entry per element of one matrix, in row-major order."""
     require_single(matrix)
-    return [
+    n_tones, m_antennas = matrix.shape
+    entries = [
         {"tone": n, "antenna": m, "real": float(v.real), "imag": float(v.imag)}
         for (n, m), v in np.ndenumerate(matrix)
     ]
+    return {**header, "n_tones": n_tones, "m_antennas": m_antennas, "entries": entries}
 
 
-def entries_from_json(entries, n_tones, m_antennas=None) -> np.ndarray:
-    """Inverse of `entries_to_json`; `m_antennas` given as None is 1 + the
-    largest antenna index.
+def matrix_from_json(data) -> np.ndarray:
+    """The matrix of a `matrix_to_json` document; other keys are the caller's.
 
-    Dimensions must pass `integer_at_least(1, ...)`, indices be integers in
-    range, values finite, and there must be exactly one entry per (tone,
-    antenna).  The entry count is checked before the matrix is allocated, so
-    no declared dimension can exhaust memory.
+    The declared `n_tones` and `m_antennas` must pass `integer_at_least(1,
+    ...)`, indices be integers in range, values finite, and there must be
+    exactly one entry per (tone, antenna).  The entry count is checked
+    before the matrix is allocated, so no declared dimension can exhaust
+    memory.
     """
+    n_tones = read_field(data, "n_tones", int)
+    m_antennas = read_field(data, "m_antennas", int)
+    entries = data.get("entries")
     if not isinstance(entries, list) or not entries:
         raise ValueError("'entries' must be a non-empty list")
     parsed = []
@@ -260,7 +267,6 @@ def entries_from_json(entries, n_tones, m_antennas=None) -> np.ndarray:
         except ValueError as exc:
             raise ValueError(f"entries[{i}]: {exc}") from None
         parsed.append((n, m, value))
-    m_antennas = 1 + max(p[1] for p in parsed) if m_antennas is None else m_antennas
     integer_at_least(1, n_tones=n_tones, m_antennas=m_antennas)
     if len(parsed) != n_tones * m_antennas:
         problem = "missing" if len(parsed) < n_tones * m_antennas else "extra"
@@ -278,30 +284,21 @@ def entries_from_json(entries, n_tones, m_antennas=None) -> np.ndarray:
 
 
 def weights_to_json(weights: PrecoderWeights) -> dict:
-    """JSON-ready dict form of a weight matrix, grid included."""
-    return {
-        "f0": weights.grid.f0,
-        "delta_f": weights.grid.delta_f,
-        "n_tones": weights.grid.n_tones,
-        "entries": entries_to_json(weights.w),
-    }
+    """The matrix document of `weights.w` headed by `f0` and `delta_f`."""
+    return matrix_to_json(weights.w, f0=weights.grid.f0, delta_f=weights.grid.delta_f)
 
 
 def weights_from_json(data: dict) -> PrecoderWeights:
-    """Inverse of `weights_to_json`; the antenna count comes from the entries,
-    and other keys (older files carry a `band_limit`) are ignored."""
-    grid = ToneGrid(
-        f0=read_field(data, "f0"),
-        delta_f=read_field(data, "delta_f"),
-        n_tones=read_field(data, "n_tones", int),
-    )
-    return PrecoderWeights(entries_from_json(data.get("entries"), grid.n_tones), grid)
+    """Inverse of `weights_to_json`; other keys, such as `band_limit`, are ignored."""
+    w = matrix_from_json(data)
+    grid = ToneGrid(read_field(data, "f0"), read_field(data, "delta_f"), w.shape[0])
+    return PrecoderWeights(w, grid)
 
 
-def save_weights(weights: PrecoderWeights, path: str) -> None:
+def save_json(document: dict, path: str) -> None:
+    """Write `document` to `path` as indented JSON, newline-ended."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(weights_to_json(weights), fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(document, indent=2) + "\n")
 
 
 def load_json(path: str, kind: str):
@@ -312,6 +309,10 @@ def load_json(path: str, kind: str):
             return json.load(fh)
         except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
             raise ValueError(f"{path!r} is not a JSON {kind} file: {exc}") from None
+
+
+def save_weights(weights: PrecoderWeights, path: str) -> None:
+    save_json(weights_to_json(weights), path)
 
 
 def load_weights(path: str) -> PrecoderWeights:

@@ -114,6 +114,11 @@ def test_channel_step_fails_on_a_weight_file_of_another_tone_count(tmp_path):
     assert run_step(tmp_path, script).returncode != 0
 
 
+def test_channel_step_fails_on_a_weight_file_of_another_antenna_count(tmp_path):
+    script = channel_step()["run"].replace('["m_antennas"] != 2', '["m_antennas"] != 3')
+    assert run_step(tmp_path, script).returncode != 0
+
+
 def range_step():
     return tier1_step("Range console script", after="Channel file console script")
 

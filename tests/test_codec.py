@@ -1,10 +1,13 @@
-"""Tone/antenna entries: the one codec behind channel and weight files."""
+"""The matrix document: one codec behind channel and weight files.
+
+Both declare `n_tones` and `m_antennas` and hold one entry per element, so
+a dropped or duplicated entry is rejected for either kind of file."""
 
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wptsim.channel import (
@@ -81,26 +84,21 @@ def _decode_matrix(codec, h, edit):
 
 
 @settings(deadline=None, max_examples=50)
-@given(h=matrices(), data=st.data())
+@given(h=matrices(), i=st.integers(0, 23))
+# A one-tone file missing its last antenna column is a complete matrix of one
+# antenna fewer unless the file declares its antenna count.
+@example(h=np.ones((1, 2), dtype=complex), i=1)
 @pytest.mark.parametrize("codec", [channel_json, weights_json])
-def test_dropping_or_duplicating_an_entry_is_rejected(codec, h, data):
-    i = data.draw(st.integers(0, h.size - 1), label="entry")
+def test_dropping_or_duplicating_an_entry_is_rejected(codec, h, i):
+    i %= h.size
     with pytest.raises(ValueError):
         _decode_matrix(codec, h, lambda entries: entries + [entries[i]])
 
     def drop(entries):
         return entries[:i] + entries[i + 1:]
 
-    # A weight file does not declare its antenna count, which is 1 + the
-    # largest antenna index.  Dropping the last entry of a one-tone grid
-    # leaves a complete grid of one antenna fewer, which the file cannot
-    # tell apart from a file written that way.
-    n, m = h.shape
-    if codec is weights_json and i == h.size - 1 and n == 1 and m > 1:
-        assert same_bits(_decode_matrix(codec, h, drop), h[:, :-1])
-    else:
-        with pytest.raises(ValueError):
-            _decode_matrix(codec, h, drop)
+    with pytest.raises(ValueError):
+        _decode_matrix(codec, h, drop)
 
 
 def test_csv_text_quotes_only_where_needed_and_ends_lines_bare():

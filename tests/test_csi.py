@@ -4,8 +4,9 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from wptsim.channel import (
     ChannelModel,
@@ -192,6 +193,26 @@ class TestQuantizer:
         step = 2.0 * peak / (2.0**bits - 1.0)
         if step == 0.0:
             assert np.array_equal(q, h)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        hnp.arrays(
+            np.complex128,
+            hnp.array_shapes(min_dims=2, max_dims=3, max_side=3),
+            elements=st.complex_numbers(allow_nan=False, allow_infinity=False),
+        ),
+        st.integers(2, MAX_QUANT_BITS),
+    )
+    @example(np.array([[1e308, 1]], dtype=complex), 8)
+    @example(np.array([[np.finfo(float).max]], dtype=complex), 2)
+    def test_finite_input_quantizes_finite_or_raises(self, h, bits):
+        # A peak above max / 2 must not make the step infinite (first example).
+        try:
+            q = quantize_csi(h, bits)
+        except ValueError as error:
+            assert str(error).startswith(f"h: quant_bits = {bits} rounds ")
+        else:
+            assert np.isfinite(q).all()
 
 
 class TestFrameLoop:

@@ -306,6 +306,16 @@ class TestOverflowIsAValueError:
         else:
             assert np.isfinite(z)
 
+    @pytest.mark.parametrize("k4", [PARAMS.k4, 1e-300])
+    def test_time_oracle_raises_as_z_dc_does(self, k4):
+        tones = ReceivedTones(a=[1j], grid=ToneGrid.for_band(1))
+        params = RectifierParams(k4=k4, r_ant=1e300)
+        with pytest.raises(ValueError, match="^z_dc overflows: ") as direct:
+            z_dc(tones, params)
+        with pytest.raises(ValueError) as oracle:
+            z_dc_time_oracle(tones, params)
+        assert str(oracle.value) == str(direct.value)
+
     @settings(max_examples=200, deadline=None)
     @given(k2=log_uniform, k4=log_uniform, r_ant=log_uniform,
            path_loss=log_uniform, p=log_uniform)

@@ -207,7 +207,7 @@ class TestWeightsIo:
 
     def test_file_keys(self):
         data = weights_to_json(make_weights(np.ones((2, 2))))
-        assert list(data) == ["f0", "delta_f", "n_tones", "entries"]
+        assert list(data) == ["f0", "delta_f", "n_tones", "m_antennas", "entries"]
 
     def test_wide_grid_loads(self):
         # 16 tones at 1 MHz span 15 MHz; no band limit caps a weight file.
@@ -233,7 +233,9 @@ class TestWeightsIo:
     @pytest.mark.parametrize(
         "edit, field",
         [
-            (lambda d: d["entries"][0].update(antenna=10**15), "'entries'"),
+            (lambda d: d["entries"][0].update(antenna=10**15),
+             "entries[0]: index (0, 1000000000000000) out of range"),
+            (lambda d: d.pop("m_antennas"), "'m_antennas' is missing"),
             (lambda d: d["entries"][1].update(antenna=0), "entries[1]: duplicate"),
             (lambda d: d["entries"][0].update(tone=0.7), "'tone'"),
             (lambda d: d["entries"][0].update(tone=True), "'tone'"),
@@ -249,9 +251,9 @@ class TestWeightsIo:
              "'f0' must be a number, got True"),
             (lambda d: d.update(delta_f=True), "'delta_f' must be a number, got True"),
         ],
-        ids=["huge-antenna", "duplicate", "fractional", "boolean", "inf", "no-f0",
-             "not-a-list", "inf-f0", "overflow-f0", "nan-f0", "inf-delta_f",
-             "nan-delta_f", "boolean-grid", "boolean-delta_f"],
+        ids=["huge-antenna", "no-m_antennas", "duplicate", "fractional", "boolean",
+             "inf", "no-f0", "not-a-list", "inf-f0", "overflow-f0", "nan-f0",
+             "inf-delta_f", "nan-delta_f", "boolean-grid", "boolean-delta_f"],
     )
     def test_bad_files_rejected_naming_the_field(self, edit, field):
         data = weights_to_json(make_weights(np.ones((2, 2))))
