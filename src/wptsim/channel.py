@@ -50,7 +50,8 @@ def derive_seed(master_seed: int, *path: int) -> int:
     """Deterministic child seed for the stream identified by `path`.
 
     The first 64-bit word of `SeedSequence([master_seed, *path])`, so a
-    seed in [0, 2**64).  All path components must be non-negative integers.
+    seed in [0, 2**64).  All path components must be non-negative integers,
+    and a bool is not one.
     Distinct paths of one length give independent streams, so parallel and
     serial ensemble runs coincide.  Paths of different lengths can collide:
     numpy pads entropy shorter than four 32-bit words with zeros, so `(s,)`
@@ -63,7 +64,7 @@ def derive_seed(master_seed: int, *path: int) -> int:
     words = []
     for e in (master_seed, *path):
         try:
-            e = operator.index(e)
+            e = -1 if type(e) is bool else operator.index(e)
         except TypeError:
             e = -1  # not an integer: rejected below
         if e < 0:
@@ -81,12 +82,13 @@ def derive_seed(master_seed: int, *path: int) -> int:
 
 def seed_array(seeds, name: str = "seeds") -> np.ndarray:
     """`seeds` as a uint64 array; ValueError naming `name` unless every
-    entry is an integer in [0, 2**64)."""
+    entry is an integer in [0, 2**64) other than a bool."""
     if isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64:
         return seeds
     values = np.array(seeds, dtype=object)
     if not all(
-        isinstance(s, (int, np.integer)) and 0 <= s < 2**64 for s in values.flat
+        isinstance(s, (int, np.integer)) and not isinstance(s, bool) and 0 <= s < 2**64
+        for s in values.flat
     ):
         raise ValueError(f"{name} must hold integers in [0, 2**64)")
     return values.astype(np.uint64)
@@ -202,8 +204,8 @@ def unit_normals(seeds, shape) -> np.ndarray:
     again), so threads never interleave them.
     """
     # An in-range Python int, the per-realization caller's seed, skips
-    # seed_array's ~3 us.
-    if isinstance(seeds, int) and 0 <= seeds < 2**64:
+    # seed_array's ~3 us; a bool, an int subclass, goes there to be rejected.
+    if type(seeds) is int and 0 <= seeds < 2**64:
         batch, flat = (), [seeds]
     else:
         seeds = seed_array(seeds)

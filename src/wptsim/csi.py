@@ -42,11 +42,12 @@ class CsiConfig:
     """Acquisition settings for one feedback frame.
 
     The estimate error of each coefficient is CN(0, `noise_variance`), the
-    noise of a unit pilot.  `quant_bits_per_component` counts bits per real
-    and per imaginary part of each coefficient (the default 8 + 8 matches a
-    16-bit feedback word), bounded by `check_quant_bits`; None disables
-    quantization.  Acquisition takes `acquisition_time`, a fraction of the
-    frame in [0, 1); the default 0 leaves a duty factor of exactly 1.
+    noise of a unit pilot.  `quant_bits_per_component` sets the quantizer of
+    each real and each imaginary part: b bits give `quantize_csi`'s 2^b + 1
+    levels, so the default 8 gives 257, one more than an 8-bit word holds.
+    It is bounded by `check_quant_bits`; None disables quantization.
+    Acquisition takes `acquisition_time`, a fraction of the frame in [0, 1);
+    the default 0 leaves a duty factor of exactly 1.
     """
 
     noise_variance: float = 0.0
@@ -102,10 +103,12 @@ def quantize_csi(h: np.ndarray, bits_per_component: int) -> np.ndarray:
     Each matrix (the last two axes of `h`) has its own step X / ((2^b - 1) / 2),
     with X its largest component magnitude, and q(x) = step * round(x / step):
     zero is always representable and no component moves by more than half a
-    step.  A matrix whose step underflows to zero is returned unchanged (each
-    component is already the nearest float to its level), and one with a
-    level past the largest float raises ValueError.  `bits_per_component`
-    must pass `check_quant_bits`.
+    step.  The peak sits at (2^b - 1) / 2 steps, a half-integer that mostly
+    rounds to 2^(b-1), so the levels run from -2^(b-1) to 2^(b-1) steps:
+    2^b + 1 of them, not 2^b.  A matrix whose step underflows to zero is returned
+    unchanged (each component is already the nearest float to its level),
+    and one with a level past the largest float raises ValueError.
+    `bits_per_component` must pass `check_quant_bits`.
     """
     check_quant_bits(bits_per_component)
     h = frozen_complex(h, "h", ("n_tones", "m_antennas"))

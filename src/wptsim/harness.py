@@ -13,7 +13,6 @@ the output.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -75,97 +74,78 @@ class ExperimentConfig:
     out_path: str | None = None
 
     def validate(self) -> None:
-        """Raise ValueError naming every offending field."""
-        problems: list[str] = []
-
-        def counts(key, values, minimum=1):
-            """`values` as Python ints, or () and a problem unless each passes
-            the count rule."""
-            try:
-                for value in values:
-                    integer_at_least(minimum, **{key: value})
-            except ValueError as exc:
-                problems.append(str(exc))
-                return ()
-            return tuple(map(int, values))
-
-        if not self.schemes:
-            problems.append("schemes: must list at least one scheme")
-        for s in self.schemes:
-            if s not in SCHEME_KINDS:
-                problems.append(f"schemes: unknown scheme {s!r}")
-        if not self.tone_counts:
-            problems.append("tones: must list at least one tone count")
-        tone_counts = counts("tones", self.tone_counts)
-        if MRT in self.schemes and any(n > 1 for n in tone_counts):
-            problems.append(
-                "schemes/tones: mrt requires n_tones = 1; run it separately "
-                "from multi-tone sweeps"
-            )
-        if not self.antenna_counts:
-            problems.append("antennas: must list at least one antenna count")
-        antenna_counts = counts("antennas", self.antenna_counts)
-        if not self.distances:
-            problems.append("distances: must list at least one distance")
-        if not all(0 < d < np.inf for d in self.distances):
-            problems.append("distances: distances must be positive and finite")
-        else:
+        """Raise ValueError "invalid experiment config: <problem>" for the first
+        problem, checking in a fixed order: schemes, tones, mrt/tones, antennas,
+        distances and their path loss, realizations, array sizes, seed,
+        power_budget, beta, f0, band_limit, then each tone count's grid."""
+        try:
+            if not self.schemes:
+                raise ValueError("schemes: must list at least one scheme")
+            for s in self.schemes:
+                if s not in SCHEME_KINDS:
+                    raise ValueError(f"schemes: unknown scheme {s!r}")
+            if not self.tone_counts:
+                raise ValueError("tones: must list at least one tone count")
+            for n_tones in self.tone_counts:
+                integer_at_least(1, tones=n_tones)
+            # Python ints: a numpy count may overflow the size products below.
+            tone_counts = sorted(set(map(int, self.tone_counts)))
+            if MRT in self.schemes and tone_counts[-1] > 1:
+                raise ValueError(
+                    "schemes/tones: mrt requires n_tones = 1; run it separately "
+                    "from multi-tone sweeps"
+                )
+            if not self.antenna_counts:
+                raise ValueError("antennas: must list at least one antenna count")
+            for m_antennas in self.antenna_counts:
+                integer_at_least(1, antennas=m_antennas)
+            if not self.distances:
+                raise ValueError("distances: must list at least one distance")
+            if not all(0 < d < np.inf for d in self.distances):
+                raise ValueError("distances: distances must be positive and finite")
             for distance in self.distances:
                 try:
                     path_loss(self.channel_model, distance)
                 except ValueError as exc:
-                    problems.append(f"distances: {exc}")
-        (realizations,) = counts("realizations", (self.realizations,)) or (1,)
-        if realizations * len(set(self.distances)) * 8 > _MAX_ARRAY_BYTES:
-            problems.append(
-                "realizations: one value per realization and distance exceeds "
-                "the largest array numpy can hold"
-            )
-        n_max = max(tone_counts, default=1)
-        m_max = max(antenna_counts, default=1)
-        block = min(realizations, BLOCK_SIZE) * n_max * m_max
-        if block * 16 > _MAX_ARRAY_BYTES:
-            problems.append(
-                "tones/antennas: a block of channels (realizations x tones x "
-                f"antennas, at most {BLOCK_SIZE} realizations) exceeds the "
-                "largest array numpy can hold"
-            )
-        if self.channel_model.n_taps * max(n_max, m_max) * 16 > _MAX_ARRAY_BYTES:
-            problems.append(
-                "n_taps: the tap arrays (tones x n_taps, n_taps x antennas) "
-                "exceed the largest array numpy can hold"
-            )
-        counts("seed", (self.seed,), minimum=0)
-        try:
-            check_power_budget(self.power_budget)
-        except ValueError:
-            problems.append(f"power_budget: {POWER_BUDGET_RULE}")
-        for name in ("beta", "f0", "band_limit"):
-            # Only smf reads beta, as DesignScheme states.
-            if name == "beta" and SMF not in self.schemes:
-                continue
-            if not 0 < getattr(self, name) < np.inf:
-                problems.append(f"{name}: must be positive and finite")
-        if 0 < self.f0 < np.inf and 0 < self.band_limit < np.inf:
-            # A count beyond the array limit fails the block check above and
-            # may not even convert to a float.  check_comb passes any one-tone
-            # comb, so both checks can run over every count.
-            grid_counts = {n for n in tone_counts if n <= _MAX_ARRAY_BYTES}
-            steering = functools.partial(check_steering, self.channel_model)
-            for check in (check_comb, steering):
+                    raise ValueError(f"distances: {exc}") from None
+            integer_at_least(1, realizations=self.realizations)
+            realizations = int(self.realizations)
+            if realizations * len(set(self.distances)) * 8 > _MAX_ARRAY_BYTES:
+                raise ValueError(
+                    "realizations: one value per realization and distance exceeds "
+                    "the largest array numpy can hold"
+                )
+            n_max, m_max = tone_counts[-1], max(map(int, self.antenna_counts))
+            if min(realizations, BLOCK_SIZE) * n_max * m_max * 16 > _MAX_ARRAY_BYTES:
+                raise ValueError(
+                    "tones/antennas: a block of channels (realizations x tones x "
+                    f"antennas, at most {BLOCK_SIZE} realizations) exceeds the "
+                    "largest array numpy can hold"
+                )
+            if self.channel_model.n_taps * max(n_max, m_max) * 16 > _MAX_ARRAY_BYTES:
+                raise ValueError(
+                    "n_taps: the tap arrays (tones x n_taps, n_taps x antennas) "
+                    "exceed the largest array numpy can hold"
+                )
+            integer_at_least(0, seed=self.seed)
+            try:
+                check_power_budget(self.power_budget)
+            except ValueError:
+                raise ValueError(f"power_budget: {POWER_BUDGET_RULE}") from None
+            for name in ("beta", "f0", "band_limit"):
+                # Only smf reads beta, as DesignScheme states.
+                unread = name == "beta" and SMF not in self.schemes
+                if not (unread or 0 < getattr(self, name) < np.inf):
+                    raise ValueError(f"{name}: must be positive and finite")
+            for n_tones in tone_counts:
                 try:
-                    for n_tones in sorted(grid_counts):
-                        check(self.grid_for(n_tones))
+                    grid = self.grid_for(n_tones)
                 except ValueError as exc:
-                    # Each check names its keys; grid_for's errors, which
-                    # both loops meet alike, come from band_limit.
-                    message = str(exc)
-                    if not message.startswith(("f0/band_limit:", "delay_spread:")):
-                        message = f"band_limit: {message}"
-                    if message not in problems:
-                        problems.append(message)
-        if problems:
-            raise ValueError("invalid experiment config: " + "; ".join(problems))
+                    raise ValueError(f"band_limit: {exc}") from None
+                check_comb(grid)
+                check_steering(self.channel_model, grid)
+        except ValueError as exc:
+            raise ValueError(f"invalid experiment config: {exc}") from None
 
     def grid_for(self, n_tones: int) -> ToneGrid:
         return ToneGrid.for_band(n_tones, f0=self.f0, band_limit=self.band_limit)
@@ -446,7 +426,5 @@ def config_from_mapping(values: dict[str, str]) -> ExperimentConfig:
     if csi_fields.pop("enabled", False):
         updates["csi"] = CsiConfig(**csi_fields)
     elif csi_fields:
-        raise ValueError(
-            "csi settings given but csi_enabled is not set; add csi_enabled = true"
-        )
+        raise ValueError("csi settings given without csi_enabled = true")
     return replace(cfg, **updates)

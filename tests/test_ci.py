@@ -183,6 +183,51 @@ def test_overflow_step_fails_on_a_traceback(tmp_path):
     assert run_step(tmp_path, script).returncode != 0
 
 
+def config_step():
+    return tier1_step("Config console script", after="Overflow console script")
+
+
+FIRST_PROBLEM = "error: invalid experiment config: realizations must be an integer >= 1"
+
+
+def test_tier1_job_names_only_the_first_config_problem(tmp_path):
+    step = config_step()
+    assert step["shell"] == "bash"
+    proc = run_step(tmp_path, step["run"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{FIRST_PROBLEM}\n"
+    assert (tmp_path / "config.err").read_text(encoding="utf-8") == proc.stdout
+    cfg = (tmp_path / "config.cfg").read_text(encoding="utf-8")
+    assert cfg == "realizations = 0\nseed = -1\n"
+
+
+def test_config_step_fails_when_the_sweep_runs(tmp_path):
+    # The step must not pass if the config is accepted.
+    script = config_step()["run"].replace(
+        "'realizations = 0' 'seed = -1'", "'seed = 1'"
+    )
+    assert run_step(tmp_path, script).returncode != 0
+
+
+def test_config_step_fails_when_every_problem_is_named(tmp_path):
+    # The step must not pass on one line naming both problems, as a
+    # validator collecting every problem would print.
+    sweep = 'wptsim sweep --config "$cfg"'
+    both = f"{FIRST_PROBLEM}; seed must be an integer >= 0"
+    script = config_step()["run"].replace(sweep, f"{{ echo '{both}' >&2; exit 1; }}")
+    assert script != config_step()["run"]
+    assert run_step(tmp_path, script).returncode != 0
+
+
+def test_config_step_fails_on_a_second_error_line(tmp_path):
+    sweep = 'wptsim sweep --config "$cfg"'
+    script = config_step()["run"].replace(
+        sweep, f"{{ echo 'error: seed must be an integer >= 0' >&2; {sweep}; }}"
+    )
+    assert script != config_step()["run"]
+    assert run_step(tmp_path, script).returncode != 0
+
+
 def test_console_script_resolves_to_cli_main():
     tomllib = pytest.importorskip("tomllib")
     with open(ROOT / "pyproject.toml", "rb") as fh:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from wptsim.channel import ChannelModel, path_loss
 from wptsim.csi import CsiConfig
+from wptsim.design import POWER_BUDGET_RULE
 from wptsim.harness import (
     CDF_FIELDS,
     CONFIG_KEYS,
@@ -39,24 +40,65 @@ SMALL = ExperimentConfig(
     seed=123,
 )
 
+# One-key faults in the order `validate` checks them, each with the message
+# it gives alone.
+ORDERED_FAULTS = [
+    ({"schemes": ("bogus",)}, "schemes: unknown scheme 'bogus'"),
+    ({"tone_counts": (0,)}, "tones must be an integer >= 1"),
+    ({"antenna_counts": (0,)}, "antennas must be an integer >= 1"),
+    ({"distances": (-1.0,)}, "distances: distances must be positive and finite"),
+    ({"realizations": 0}, "realizations must be an integer >= 1"),
+    ({"seed": -1}, "seed must be an integer >= 0"),
+    ({"power_budget": float("nan")}, f"power_budget: {POWER_BUDGET_RULE}"),
+    ({"beta": float("nan")}, "beta: must be positive and finite"),
+    ({"f0": float("inf")}, "f0: must be positive and finite"),
+    (
+        {"band_limit": 1e10},
+        "f0/band_limit: occupied bandwidth 1e+10 Hz must stay below 2*f0 = "
+        "4.8e+09 Hz: wider combs beat three-tone sums to DC, which the "
+        "closed-form rectifier moments omit",
+    ),
+]
+
 
 class TestConfigValidation:
     def test_default_config_is_valid(self):
         ExperimentConfig().validate()
 
     def test_problems_name_their_fields(self):
+        # The first problem in check order is named, and only that one.
         cfg = ExperimentConfig(
             schemes=("smf", "bogus"), realizations=0, distances=(-1.0,)
         )
-        with pytest.raises(ValueError) as err:
-            cfg.validate()
-        message = str(err.value)
-        assert "schemes" in message
-        assert "realizations" in message
-        assert "distances" in message
+        for field_name, fixed, message in [
+            ("schemes", ("smf",), "schemes: unknown scheme 'bogus'"),
+            ("distances", (1.0,), "distances: distances must be positive and finite"),
+            ("realizations", 1, "realizations must be an integer >= 1"),
+        ]:
+            with pytest.raises(ValueError) as err:
+                cfg.validate()
+            assert str(err.value) == f"invalid experiment config: {message}"
+            cfg = replace(cfg, **{field_name: fixed})
+        cfg.validate()
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match="distances"):
                 ExperimentConfig(distances=(1.0, bad)).validate()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sets(st.integers(0, len(ORDERED_FAULTS) - 1), min_size=1))
+    @example({4, 5})
+    def test_several_problems_name_only_the_first(self, picked):
+        updates = {}
+        for index in picked:
+            updates.update(ORDERED_FAULTS[index][0])
+        with pytest.raises(ValueError) as err:
+            ExperimentConfig(**updates).validate()
+        first_updates, first_message = ORDERED_FAULTS[min(picked)]
+        assert "; " not in str(err.value)
+        assert str(err.value) == f"invalid experiment config: {first_message}"
+        with pytest.raises(ValueError) as alone:
+            ExperimentConfig(**first_updates).validate()
+        assert str(alone.value) == str(err.value)
 
     @pytest.mark.parametrize("name", ["power_budget", "beta", "f0", "band_limit"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
@@ -504,6 +546,11 @@ class TestConfigParsing:
     def test_csi_fields_require_enable_flag(self):
         with pytest.raises(ValueError, match="csi_enabled"):
             config_from_mapping({"noise_variance": "0.1"})
+
+    def test_csi_fields_beside_a_false_enable_flag_rejected(self):
+        with pytest.raises(ValueError) as err:
+            config_from_mapping({"csi_enabled": "false", "noise_variance": "0.1"})
+        assert str(err.value) == "csi settings given without csi_enabled = true"
 
     def test_bad_bool_rejected(self):
         with pytest.raises(ValueError, match="boolean"):

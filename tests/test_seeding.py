@@ -127,6 +127,13 @@ class TestDeriveSeed:
     def test_numpy_integers(self):
         assert derive_seed(np.uint64(2**64 - 1), np.int8(3)) == derive_seed(2**64 - 1, 3)
 
+    @pytest.mark.parametrize("flag", [True, False, np.True_], ids=repr)
+    def test_rejects_a_bool_component(self, flag):
+        # As in the count rule, derive_seed(True, 0) is not derive_seed(1, 0).
+        for path in ((flag, 0), (0, flag), (7, 1, flag)):
+            with pytest.raises(ValueError, match="must be non-negative integers"):
+                derive_seed(*path)
+
 
 def per_index_units(shape, noise_seed):
     """One `complex_normal(make_rng(seed))` draw per leading index."""
@@ -211,7 +218,8 @@ class TestLsEstimate:
         )
 
     @pytest.mark.parametrize(
-        "noise_seed", [-1, 2**64, 1.5, 1.0, "3", None, [1, -1], [1, 2.0]]
+        "noise_seed",
+        [-1, 2**64, 1.5, 1.0, "3", None, [1, -1], [1, 2.0], True, [True], [np.True_]],
     )
     def test_rejects_seed_outside_range_naming_it(self, noise_seed):
         shape = np.shape(noise_seed) + (1, 1)
@@ -316,7 +324,10 @@ class TestOneTapFlat:
         assert np.array_equal(a.h, np.repeat(row, n_tones, axis=0))
 
 
-BAD_SEEDS = [-1, 2**64, 2**70, 1.5, 2.0, np.float64(3.0), "3", None]
+# A bool follows the count rule: it is not an integer seed, so True never
+# stands in for 1.
+BAD_SEEDS = [-1, 2**64, 2**70, 1.5, 2.0, np.float64(3.0), "3", None,
+             True, False, np.True_, np.array(True)]
 
 # draw function -> call with one seed, or with a list of one seed per block
 SEEDED_DRAWS = {
