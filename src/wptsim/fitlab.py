@@ -299,7 +299,8 @@ def read_measurements_csv(path: str) -> list[MeasurementRecord]:
     """Read `scheme,n_tones,m_antennas,distance_m,p_dc` rows by the rules of
     `read_csv_entries`; a row that is rejected is named as ``entries[i]``."""
     records = []
-    for i, row in enumerate(read_csv_entries(path, MEASUREMENT_FIELDS)):
+    rows = read_csv_entries(path, MEASUREMENT_FIELDS)
+    for i, row in enumerate(rows):
         try:
             n, m = read_field(row, "n_tones", int), read_field(row, "m_antennas", int)
             distance, p_dc = read_field(row, "distance_m"), read_field(row, "p_dc")

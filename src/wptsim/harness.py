@@ -38,7 +38,7 @@ from .design import (
 )
 from .rectifier import RectifierParams, check_comb, received_tones, z_dc
 from .signals import DEFAULT_BAND_LIMIT, DEFAULT_F0, ToneGrid, csv_text
-from .signals import integer_at_least
+from .signals import integer_at_least, read_text
 
 SWEEP_FIELDS = ["scheme", "n_tones", "m_antennas", "distance_m", "zdc_mean", "zdc_std"]
 CDF_FIELDS = ["scheme", "n_tones", "m_antennas", "zdc", "cdf"]
@@ -334,8 +334,8 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 
 def load_config_file(path: str) -> dict[str, str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+    """`parse_config_text` of the file at `path`, read by `read_text`."""
+    return parse_config_text(read_text(path, "config"))
 
 
 def _parse_bool(value: str) -> bool:

@@ -11,8 +11,9 @@ recomputes both averages from one exactly sampled period of y(t)
 
 Tone amplitudes are array-first: ``a`` has shape ``(..., n_tones)``, and the
 moments and `z_dc` return one value per leading index, or a float for a
-single reception.  The time oracle takes a single reception only, and
-always samples `min_oracle_samples` points.
+single reception.  The time oracle takes a single reception only, always
+samples `min_oracle_samples` points, and needs N - 1 < 2 round(f0 / delta_f),
+the comb rule on the grid it samples.
 
 `scaling_law_ca` is the exact mean of `z_dc` over i.i.d. Rayleigh fading
 across antennas for SMF on a one-tap channel, MRT, and CW (N = M = 1); it is
@@ -166,8 +167,22 @@ def min_oracle_samples(tones: ReceivedTones) -> int:
 def z_dc_time_oracle(tones: ReceivedTones, params: RectifierParams) -> float:
     """Recompute z_dc from the averages of y^2 and y^4 over
     `min_oracle_samples` uniform samples of one period of y(t)
-    (`signals.period_samples`); `_dc_output` combines them as `z_dc` does."""
+    (`signals.period_samples`); `_dc_output` combines them as `z_dc` does.
+
+    The samples put tone n at (q0 + n) delta_f with q0 = round(f0 / delta_f),
+    so the closed form's comb rule must hold on that snapped grid too:
+    N - 1 < 2 q0.  A grid that passes `check_comb` but not this rule, such as
+    one with q0 = 0, raises ValueError rather than beating three-tone sums
+    (or tone 0 itself) to DC.
+    """
     require_single(tones.a, core_ndim=1)
+    q0 = round(tones.grid.f0 / tones.grid.delta_f)
+    if not tones.n_tones - 1 < 2 * q0:
+        raise ValueError(
+            f"time oracle: f0 = {tones.grid.f0:g} Hz snaps to q0 = {q0} harmonics "
+            f"of delta_f = {tones.grid.delta_f:g} Hz, and N = {tones.n_tones} "
+            "tones need N - 1 < 2 q0"
+        )
     samples = min_oracle_samples(tones)
     if samples > _MAX_ORACLE_SAMPLES:
         raise ValueError(

@@ -10,9 +10,10 @@ matrix is the batch of one; per-realization quantities then come back as a
 float instead of an array.  Channel and weight files are one JSON matrix
 document of a single realization (`matrix_to_json`, `matrix_from_json`).
 Every CSV table the program reads or writes goes through `csv_text` and
-`read_csv_entries`.  `positive_finite` checks every positive, finite
-setting, `integer_at_least` every count, and `frozen_complex` builds every
-complex array a value class holds.
+`read_csv_entries`, and every text file it reads through `read_text`.
+`positive_finite` checks every positive, finite setting, `integer_at_least`
+every count, and `frozen_complex` builds every complex array a value class
+holds.
 """
 
 from __future__ import annotations
@@ -212,15 +213,27 @@ def csv_text(fields, rows) -> str:
     return buf.getvalue()
 
 
-def read_csv_entries(path: str, fields) -> list[dict]:
-    """Rows of the CSV file at `path` as dicts keyed by `fields`, which must be
-    its exact header.  At least one row must follow, and a row with extra
-    fields is named as ``entries[i]``; a short row's missing keys hold None."""
+def read_text(path: str, kind: str) -> str:
+    """The text of the UTF-8 file at `path`, its line endings kept as written
+    (``newline=""``, as `csv` needs).  A file that is not UTF-8 raises one
+    ValueError naming `path` as not a `kind` file."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != list(fields):
-            raise ValueError(f"CSV must have header {','.join(fields)}")
-        rows = list(reader)
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path!r} is not a {kind} file: {exc}") from None
+
+
+def read_csv_entries(path: str, fields) -> list[dict]:
+    """Rows of the CSV file at `path` as dicts keyed by `fields`, which must
+    be its exact header.  At least one row must follow, and a row with extra
+    fields is named as ``entries[i]``; a short row's missing keys hold None.
+    A file that is not UTF-8 is rejected by `read_text`."""
+    text = read_text(path, "CSV")
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    if reader.fieldnames != list(fields):
+        raise ValueError(f"CSV must have header {','.join(fields)}")
+    rows = list(reader)
     if not rows:
         raise ValueError("'entries': CSV holds no rows")
     for i, row in enumerate(rows):
@@ -303,12 +316,13 @@ def save_json(document: dict, path: str) -> None:
 
 def load_json(path: str, kind: str):
     """The JSON value in `path`.  A file that is not UTF-8 JSON raises one
-    ValueError naming `path` as not a JSON `kind` file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-            raise ValueError(f"{path!r} is not a JSON {kind} file: {exc}") from None
+    ValueError naming `path` as not a JSON `kind` file (`read_text`)."""
+    kind = f"JSON {kind}"
+    text = read_text(path, kind)
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise ValueError(f"{path!r} is not a {kind} file: {exc}") from None
 
 
 def save_weights(weights: PrecoderWeights, path: str) -> None:

@@ -20,7 +20,7 @@ from wptsim.channel import (
     sample_channel,
     save_channel,
 )
-from wptsim.design import DesignScheme, apply_design
+from wptsim.design import SCHEME_KINDS, DesignScheme, apply_design
 from wptsim.fitlab import MEASUREMENT_FIELDS
 from wptsim.harness import CDF_FIELDS, CONFIG_KEYS, SWEEP_FIELDS
 from wptsim.signals import ToneGrid, csv_text, load_weights, save_weights, tx_power
@@ -72,15 +72,19 @@ def measurements_csv(tmp_path):
 
 
 class TestDesignAndZdc:
-    def test_design_writes_weights(self, channel_json, tmp_path):
-        out = tmp_path / "weights.json"
+    @pytest.mark.parametrize("scheme, n_tones, m_antennas", [("mrt", 1, 4), ("up", 2, 2)])
+    def test_design_writes_weights(self, tmp_path, scheme, n_tones, m_antennas):
+        model = ChannelModel(n_taps=1, path_loss_ref=1.0)
+        ch = sample_channel(model, ToneGrid.for_band(n_tones), m_antennas, seed=17)
+        channel, out = tmp_path / "chan.json", tmp_path / "weights.json"
+        save_channel(ch, str(channel))
         code = cli.main(
-            ["design", "--channel", channel_json, "--scheme", "mrt",
+            ["design", "--channel", str(channel), "--scheme", scheme,
              "--power", "0.5", "--out", str(out)]
         )
         assert code == 0
         weights = load_weights(str(out))
-        assert weights.w.shape == (1, 4)
+        assert weights.w.shape == (n_tones, m_antennas)
         assert np.sum(np.abs(weights.w) ** 2) / 2 == pytest.approx(0.5, rel=1e-9)
 
     def test_library_cw_weights_match_the_cli(self, tmp_path):
@@ -203,16 +207,32 @@ class TestRejectedChannelFiles:
         assert captured.out == ""
 
 
+# Two tones and two antennas; MRT is single-tone only.
+_TWO_TONES = {
+    "n_tones": 2,
+    "entries": [
+        {"tone": 0, "antenna": 0, "real": 1.0, "imag": 0.0},
+        {"tone": 0, "antenna": 1, "real": 0.5, "imag": -0.5},
+        {"tone": 1, "antenna": 0, "real": -0.25, "imag": 0.75},
+        {"tone": 1, "antenna": 1, "real": 0.0, "imag": 1.0},
+    ],
+}
+
+
 class TestLegacyDistanceKey:
     """Older versions wrote a `distance` key, which sets nothing a design
     reads: a file holding it designs and evaluates as one without it."""
 
-    @pytest.mark.parametrize("distance", [1.0, float("inf"), "inf", "far"])
-    @pytest.mark.parametrize("scheme", ["cw", "mrt", "up", "smf"])
-    def test_loads_as_without_it(self, tmp_path, capsys, distance, scheme):
+    @pytest.mark.parametrize("distance", [1.0, 2.0, float("inf"), "inf", "far"])
+    @pytest.mark.parametrize(
+        "scheme, channel",
+        [*(pytest.param(s, {}, id=s) for s in SCHEME_KINDS),
+         *(pytest.param(s, _TWO_TONES, id=f"{s}-2x2") for s in ("cw", "up", "smf"))],
+    )
+    def test_loads_as_without_it(self, tmp_path, capsys, distance, scheme, channel):
         outputs = []
-        for name, text in (("new", _channel_json()),
-                           ("old", _channel_json(distance=distance))):
+        for name, text in (("new", _channel_json(**channel)),
+                           ("old", _channel_json(distance=distance, **channel))):
             path, weights = tmp_path / f"{name}.json", tmp_path / f"{name}.w.json"
             path.write_text(text)
             argv = ["--channel", str(path), "--scheme", scheme]
@@ -255,6 +275,24 @@ class TestNonJsonChannelFiles:
         assert captured.err.count("\n") == 1
         assert captured.out == ""
         assert not weights.exists()
+
+
+@pytest.mark.parametrize(
+    "command, kind",
+    [(["sweep", "--config"], "config"), (["fit"], "CSV")],
+    ids=["config", "measurements"],
+)
+def test_non_utf8_file_is_named(tmp_path, capsys, command, kind):
+    # As for a channel file, the error line names the path and its kind.
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"\xff\xfe\x00bad")
+    assert cli.main([*command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        f"error: {str(path)!r} is not a {kind} file: 'utf-8' codec can't decode "
+    )
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
 
 
 _MEASUREMENT_HEADER = "scheme,n_tones,m_antennas,distance_m,p_dc\n"
@@ -360,6 +398,17 @@ class TestSweepAndCdf:
         assert cli.main(["sweep", "--config", str(cfg)]) == 1
         captured = capsys.readouterr()
         assert key in captured.err
+        assert captured.out == ""
+
+    def test_config_with_two_problems_names_the_first(self, tmp_path, capsys):
+        # realizations comes before seed in check order; seed is not named.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("realizations = 0\nseed = -1\n")
+        assert cli.main(["sweep", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: invalid experiment config: realizations must be an integer >= 1\n"
+        )
         assert captured.out == ""
 
 
@@ -889,7 +938,12 @@ class TestRemovedConfigKeys:
         # Both settings are gone: noise_variance is the error variance of a
         # unit pilot, and acquisition_time a share of the frame.
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"realizations = 1\ncsi_enabled = true\n{key} = 1\n")
+        cfg.write_text("schemes = mrt\ntones = 1\nrealizations = 2\ncsi_enabled = true\n"
+                       "noise_variance = 1e-3\nacquisition_time = 0.08\n")
+        assert cli.main(["sweep", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out.startswith(",".join(SWEEP_FIELDS) + "\n")
+        with open(cfg, "a", encoding="utf-8") as fh:
+            fh.write(f"{key} = 1\n")
         assert cli.main(["sweep", "--config", str(cfg)]) == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: unknown config key {key!r}\n"
@@ -934,9 +988,14 @@ class TestFitAndRange:
             expected, rel=1e-8
         )
 
-    def test_range_default_is_baseline(self, capsys):
+    @pytest.mark.parametrize("scheme", [[], *(["--scheme", s] for s in SCHEME_KINDS)])
+    def test_range_default_is_baseline(self, capsys, scheme):
+        # The (1, 1) reference curve answers for every known scheme.
         assert cli.main(["range", "--target", "8.081"]) == 0
-        assert float(capsys.readouterr().out.strip()) == pytest.approx(1.0, rel=1e-9)
+        baseline = capsys.readouterr().out
+        assert float(baseline.strip()) == pytest.approx(1.0, rel=1e-9)
+        assert cli.main(["range", *scheme, "--target", "8.081"]) == 0
+        assert capsys.readouterr().out == baseline
 
     def test_range_unknown_scheme_rejected(self, capsys):
         # The (1, 1) reference curve answers for every scheme, so an unknown

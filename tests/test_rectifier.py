@@ -5,7 +5,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wptsim.channel import ChannelRealization, complex_normal, make_rng
@@ -202,9 +202,27 @@ class TestTimeOracle:
         assert worst <= 1e-10
 
     @settings(max_examples=60, deadline=None)
-    @given(a=st.lists(tone_amplitudes, min_size=1, max_size=8), q0=st.integers(16, 64))
-    def test_agrees_on_any_tones_up_to_eight(self, a, q0):
-        tones = make_tones(a, f0=q0 * 1e6, delta_f=1e6)
+    @given(
+        a=st.lists(tone_amplitudes, min_size=1, max_size=8),
+        q0=st.integers(0, 64),
+        frac=st.floats(0.0, 0.49),
+    )
+    @example(a=[0.5j], q0=0, frac=0.1)
+    @example(a=[0.5j, 0.2, 0.1 - 0.3j], q0=1, frac=0.4)
+    @example(a=[0.5j, 0.2, 0.1 - 0.3j, 0.4, 0.3j], q0=2, frac=0.4)
+    @example(a=[0.5j, 0.2, 0.1 - 0.3j, 0.4], q0=2, frac=0.0)
+    def test_agrees_on_any_tones_up_to_eight(self, a, q0, frac):
+        # f0 snaps to q0 harmonics, where the comb rule N - 1 < 2 (q0 + frac)
+        # of `ReceivedTones` still admits N - 1 = 2 q0: the oracle raises
+        # exactly there.  The first three examples have the f0 / delta_f and
+        # N of grids (1, 10, 1), (14, 10, 3) and (24, 10, 5), on which the
+        # oracle used to return a value that disagreed with z_dc.
+        assume(q0 + frac > 0 and len(a) - 1 < 2 * (q0 + frac))
+        tones = make_tones(a, f0=(q0 + frac) * 1e6, delta_f=1e6)
+        if len(a) - 1 >= 2 * q0:
+            with pytest.raises(ValueError, match=f"snaps to q0 = {q0} harmonics"):
+                z_dc_time_oracle(tones, PARAMS)
+            return
         z_ref = z_dc_time_oracle(tones, PARAMS)
         assert abs(z_dc(tones, PARAMS) - z_ref) <= 1e-8 * abs(z_ref)
 
