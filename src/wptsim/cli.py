@@ -64,12 +64,13 @@ _FLAG_KEYS = (
 
 
 def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Config file first, then flag overrides (flags win)."""
+    """Config file first, then flag overrides (flags win); a flag's text is
+    parsed exactly as the config key's value is."""
     mapping = load_config_file(args.config) if args.config else {}
     for flag, key in _FLAG_KEYS:
         value = getattr(args, flag)
         if value is not None:
-            mapping[key] = str(value)
+            mapping[key] = value
     return config_from_mapping(mapping)
 
 
@@ -186,13 +187,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_experiment_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="key = value config file")
-        p.add_argument("--seed", type=int, help="master seed (non-negative)")
+        p.add_argument("--seed", help="master seed (non-negative)")
         p.add_argument("--out", help="output file (default: stdout)")
         p.add_argument("--scheme", help="comma-separated schemes (cw,mrt,up,smf)")
         p.add_argument("--tones", help="comma-separated tone counts")
         p.add_argument("--antennas", help="comma-separated antenna counts")
-        p.add_argument("--beta", type=float, help="matched-filter emphasis exponent")
-        p.add_argument("--realizations", type=int, help="realizations per cell")
+        p.add_argument("--beta", help="matched-filter emphasis exponent")
+        p.add_argument("--realizations", help="realizations per cell")
 
     def add_channel_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--channel", required=True, help="channel file (JSON)")

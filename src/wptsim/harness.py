@@ -101,8 +101,6 @@ class ExperimentConfig:
                 integer_at_least(1, antennas=m_antennas)
             if not self.distances:
                 raise ValueError("distances: must list at least one distance")
-            if not all(0 < d < np.inf for d in self.distances):
-                raise ValueError("distances: distances must be positive and finite")
             for distance in self.distances:
                 try:
                     path_loss(self.channel_model, distance)

@@ -11,9 +11,9 @@ recomputes both averages from one exactly sampled period of y(t)
 
 Tone amplitudes are array-first: ``a`` has shape ``(..., n_tones)``, and the
 moments and `z_dc` return one value per leading index, or a float for a
-single reception.  The time oracle takes a single reception only, always
-samples `min_oracle_samples` points, and needs N - 1 < 2 round(f0 / delta_f),
-the comb rule on the grid it samples.
+single reception.  The time oracle takes a single reception only, on a grid
+that `period_samples` can sample exactly: its comb rule N - 1 < 2 q0 holds on
+the grid snapped to q0 = round(f0 / delta_f) harmonics of delta_f.
 
 `scaling_law_ca` is the exact mean of `z_dc` over i.i.d. Rayleigh fading
 across antennas for SMF on a one-tap channel, MRT, and CW (N = M = 1); it is
@@ -42,10 +42,6 @@ from .signals import (
 DEFAULT_K2 = 0.0034
 DEFAULT_K4 = 0.3829
 DEFAULT_R_ANT = 50.0
-
-# Time-oracle sample counts above this are almost certainly a mistaken grid
-# (f0 huge relative to delta_f) rather than a real verification request.
-_MAX_ORACLE_SAMPLES = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -155,41 +151,12 @@ def _dc_output(m2, m4, params: RectifierParams):
     return z
 
 
-def min_oracle_samples(tones: ReceivedTones) -> int:
-    """The sample count of `z_dc_time_oracle`: 8 (q0 + N) for f0 snapped to
-    q0 = round(f0 / delta_f) harmonics of delta_f, the fewest samples of one
-    period on which the averages of y^2 and y^4 are exact up to rounding;
-    fewer would alias fourth-order products onto DC."""
-    q0 = round(tones.grid.f0 / tones.grid.delta_f)
-    return 8 * (q0 + tones.n_tones)
-
-
 def z_dc_time_oracle(tones: ReceivedTones, params: RectifierParams) -> float:
-    """Recompute z_dc from the averages of y^2 and y^4 over
-    `min_oracle_samples` uniform samples of one period of y(t)
-    (`signals.period_samples`); `_dc_output` combines them as `z_dc` does.
-
-    The samples put tone n at (q0 + n) delta_f with q0 = round(f0 / delta_f),
-    so the closed form's comb rule must hold on that snapped grid too:
-    N - 1 < 2 q0.  A grid that passes `check_comb` but not this rule, such as
-    one with q0 = 0, raises ValueError rather than beating three-tone sums
-    (or tone 0 itself) to DC.
-    """
+    """Recompute z_dc from the averages of y^2 and y^4 over one exactly
+    sampled period of y(t) (`signals.period_samples`, which rejects a grid it
+    cannot sample exactly); `_dc_output` combines them as `z_dc` does."""
     require_single(tones.a, core_ndim=1)
-    q0 = round(tones.grid.f0 / tones.grid.delta_f)
-    if not tones.n_tones - 1 < 2 * q0:
-        raise ValueError(
-            f"time oracle: f0 = {tones.grid.f0:g} Hz snaps to q0 = {q0} harmonics "
-            f"of delta_f = {tones.grid.delta_f:g} Hz, and N = {tones.n_tones} "
-            "tones need N - 1 < 2 q0"
-        )
-    samples = min_oracle_samples(tones)
-    if samples > _MAX_ORACLE_SAMPLES:
-        raise ValueError(
-            "grid is too fine for the time oracle: "
-            f"{samples} samples would be required"
-        )
-    y = period_samples(tones.grid, tones.a, samples)
+    y = period_samples(tones.grid, tones.a)
     with np.errstate(over="ignore", invalid="ignore"):
         return _dc_output(float(np.mean(y**2)), float(np.mean(y**4)), params)
 

@@ -31,6 +31,10 @@ import numpy as np
 DEFAULT_F0 = 2.4e9
 DEFAULT_BAND_LIMIT = 10e6
 
+# Period sample counts above this are almost certainly a mistaken grid
+# (f0 huge relative to delta_f) rather than a real verification request.
+_MAX_ORACLE_SAMPLES = 1 << 26
+
 
 def positive_finite(**values) -> None:
     """Raise ValueError "<name> must be positive and finite" for the first
@@ -150,25 +154,44 @@ class PrecoderWeights:
         return self.w.shape[-1]
 
 
-def period_samples(grid: ToneGrid, amplitudes, samples: int) -> np.ndarray:
-    """`samples` uniform samples of one period 1/delta_f of the multisine
+def period_samples(grid: ToneGrid, amplitudes) -> np.ndarray:
+    """Uniform samples of one period 1/delta_f of the multisine
     Re sum_n amplitudes[n] exp(j 2 pi f_n t), with f0 snapped to
     q0 = round(f0 / delta_f) harmonics of delta_f, so that tone n sits at
     (q0 + n) delta_f.
+
+    It takes 8 (q0 + N) samples, the fewest on which the period averages of
+    y^2 and y^4 are exact up to rounding; fewer would alias fourth-order
+    products onto DC.  Those averages also need the comb rule on the snapped
+    grid, N - 1 < 2 q0, or three-tone sums (or tone 0 itself) beat to DC.
+    A grid breaking that rule, or needing more than `_MAX_ORACLE_SAMPLES`
+    samples, raises ValueError before anything is allocated.
 
     Sample k of tone n has phase 2 pi ((q0 + n) k mod samples) / samples,
     reduced in integer arithmetic, so no phase grows with f0.  The first axis
     of `amplitudes` indexes the tones; the result has shape ``(samples,
     *amplitudes.shape[1:])``, one waveform per trailing index.
     """
-    integer_at_least(1, samples=samples)
     amplitudes = np.asarray(amplitudes)
     if amplitudes.shape[:1] != (grid.n_tones,):
         raise ValueError(
             f"amplitudes of shape {amplitudes.shape} need a first axis of "
             f"{grid.n_tones}, the grid's tone count"
         )
-    q0 = round(grid.f0 / grid.delta_f)
+    ratio = grid.f0 / grid.delta_f
+    # An infinite ratio clamps to the cap, whose count is rejected next.
+    q0 = round(min(ratio, _MAX_ORACLE_SAMPLES))
+    samples = 8 * (q0 + grid.n_tones)
+    if samples > _MAX_ORACLE_SAMPLES:
+        raise ValueError(
+            f"grid is too fine to sample exactly: f0 / delta_f = {ratio:g} "
+            f"needs more than {_MAX_ORACLE_SAMPLES} samples"
+        )
+    if not grid.n_tones - 1 < 2 * q0:
+        raise ValueError(
+            f"f0 = {grid.f0:g} Hz snaps to q0 = {q0} harmonics of delta_f = "
+            f"{grid.delta_f:g} Hz, and N = {grid.n_tones} tones need N - 1 < 2 q0"
+        )
     k = np.arange(samples, dtype=np.int64)
     y = np.zeros((samples, *amplitudes.shape[1:]))
     for n in range(grid.n_tones):

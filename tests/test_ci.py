@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
 from wptsim import cli
 
@@ -26,7 +27,6 @@ def test_workflow_runs_the_tier1_command():
 
 
 def test_workflow_parses_with_the_recording_versions():
-    yaml = pytest.importorskip("yaml")
     workflow = yaml.safe_load(WORKFLOW.read_text(encoding="utf-8"))
     assert set(workflow["on"]) == {"push", "pull_request"}
     steps = workflow["jobs"]["tier1"]["steps"]
@@ -96,7 +96,6 @@ def test_bench_smoke_gate_reads_the_last_line(last_line, passes):
 
 
 def test_bench_smoke_parses_with_the_recording_versions():
-    yaml = pytest.importorskip("yaml")
     workflow = yaml.safe_load(WORKFLOW.read_text(encoding="utf-8"))
     tier1, smoke = workflow["jobs"]["tier1"], workflow["jobs"]["bench-smoke"]
     assert smoke["steps"][:3] == tier1["steps"][:3]
@@ -107,7 +106,6 @@ def test_bench_smoke_parses_with_the_recording_versions():
 def test_every_job_has_a_timeout_and_superseded_runs_cancel():
     # A hang then fails within minutes, not after the hosted runner's
     # six-hour default.
-    yaml = pytest.importorskip("yaml")
     workflow = yaml.safe_load(WORKFLOW.read_text(encoding="utf-8"))
     timeouts = {
         name: job.get("timeout-minutes") for name, job in workflow["jobs"].items()
@@ -118,7 +116,6 @@ def test_every_job_has_a_timeout_and_superseded_runs_cancel():
 
 
 def test_every_job_caches_pip_keyed_on_pyproject():
-    yaml = pytest.importorskip("yaml")
     workflow = yaml.safe_load(WORKFLOW.read_text(encoding="utf-8"))
     for name, job in workflow["jobs"].items():
         setup = job["steps"][1]

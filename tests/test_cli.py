@@ -400,6 +400,28 @@ class TestSweepAndCdf:
         assert key in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("seed", "abc", "seed: invalid literal for int() with base 10: 'abc'"),
+            ("beta", "1e400", "beta: must be a finite number, got '1e400'"),
+            ("realizations", "2.5", "realizations: invalid literal for int()"),
+            ("realizations", "0", "invalid experiment config: realizations must be"),
+        ],
+    )
+    def test_flag_is_read_as_its_config_key(self, tmp_path, capsys, key, value, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        results = []
+        for argv in (["--config", str(cfg)], [f"--{key}", value]):
+            code = cli.main(["sweep", *argv])
+            results.append((code, capsys.readouterr()))
+        (file_code, from_file), (flag_code, from_flag) = results
+        assert file_code == flag_code == 1
+        assert from_flag.err == from_file.err
+        assert from_flag.err.startswith(f"error: {message}")
+        assert from_flag.out == from_file.out == ""
+
     def test_config_with_two_problems_names_the_first(self, tmp_path, capsys):
         # realizations comes before seed in check order; seed is not named.
         cfg = tmp_path / "run.cfg"

@@ -552,8 +552,8 @@ class TestOptimisedWaveformOracle:
     @pytest.mark.parametrize("p", POWERS)
     def test_cw_does_not_beat_the_ascent(self, design_quality, p):
         # UP and SMF are starting points of the ascent, which keeps only
-        # rising steps, so only CW, all power on the strongest tone, is a
-        # design it can miss.
+        # rising steps, so only CW, all power on tone 0 whatever its gain
+        # (`effective_channel`), is a design it can miss.
         for _, _, best, designs in design_quality[p]:
             assert designs["cw"] <= best * (1 + 1e-12)
 

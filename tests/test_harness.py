@@ -46,7 +46,7 @@ ORDERED_FAULTS = [
     ({"schemes": ("bogus",)}, "schemes: unknown scheme 'bogus'"),
     ({"tone_counts": (0,)}, "tones must be an integer >= 1"),
     ({"antenna_counts": (0,)}, "antennas must be an integer >= 1"),
-    ({"distances": (-1.0,)}, "distances: distances must be positive and finite"),
+    ({"distances": (-1.0,)}, "distances: distance must be positive and finite"),
     ({"realizations": 0}, "realizations must be an integer >= 1"),
     ({"seed": -1}, "seed must be an integer >= 0"),
     ({"power_budget": float("nan")}, f"power_budget: {POWER_BUDGET_RULE}"),
@@ -72,7 +72,7 @@ class TestConfigValidation:
         )
         for field_name, fixed, message in [
             ("schemes", ("smf",), "schemes: unknown scheme 'bogus'"),
-            ("distances", (1.0,), "distances: distances must be positive and finite"),
+            ("distances", (1.0,), "distances: distance must be positive and finite"),
             ("realizations", 1, "realizations must be an integer >= 1"),
         ]:
             with pytest.raises(ValueError) as err:

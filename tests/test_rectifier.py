@@ -12,7 +12,6 @@ from wptsim.channel import ChannelRealization, complex_normal, make_rng
 from wptsim.rectifier import (
     ReceivedTones,
     RectifierParams,
-    min_oracle_samples,
     moment2,
     moment4,
     received_tones,
@@ -233,31 +232,19 @@ class TestTimeOracle:
         z = z_dc(tones, PARAMS)
         assert z == pytest.approx(z_dc_time_oracle(tones, PARAMS), rel=1e-8)
 
-    def test_more_samples_change_nothing(self):
-        # The oracle's count already gives exact averages; a finer period
-        # agrees with them.
-        tones = make_tones([0.2 + 0.1j, -0.1 + 0.3j], f0=20e6, delta_f=1e6)
-        needed = min_oracle_samples(tones)
-        for samples in (needed, 5 * needed):
-            y = period_samples(tones.grid, tones.a, samples)
-            m2, m4 = float(np.mean(y**2)), float(np.mean(y**4))
-            assert m2 == pytest.approx(moment2(tones), rel=1e-12)
-            assert m4 == pytest.approx(moment4(tones), rel=1e-10)
-        assert z_dc_time_oracle(tones, PARAMS) == pytest.approx(
-            z_dc(tones, PARAMS), rel=1e-10
-        )
-
     def test_min_samples_formula(self):
         tones = make_tones(np.ones(4), f0=32e6, delta_f=1e6)
-        assert min_oracle_samples(tones) == 8 * (32 + 4)
+        assert period_samples(tones.grid, tones.a).shape[0] == 8 * (32 + 4)
 
     def test_takes_only_tones_and_params(self):
         assert list(inspect.signature(z_dc_time_oracle).parameters) == [
             "tones", "params"
         ]
 
-    def test_absurd_grid_rejected(self):
-        tones = make_tones([0.1 + 0j], f0=2.4e9, delta_f=1.0)
+    @pytest.mark.parametrize("f0, delta_f", [(2.4e9, 1.0), (1e300, 1e-10)])
+    def test_absurd_grid_rejected(self, f0, delta_f):
+        # f0 / delta_f = 1e310 overflows to inf: a ValueError, not OverflowError.
+        tones = make_tones([0.1 + 0j], f0=f0, delta_f=delta_f)
         with pytest.raises(ValueError, match="too fine"):
             z_dc_time_oracle(tones, PARAMS)
 

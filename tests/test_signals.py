@@ -120,18 +120,20 @@ class TestPrecoderWeights:
 
 class TestPeriodSamples:
     def test_two_inphase_tones_at_zero(self):
-        y = period_samples(ToneGrid(32e6, 1e6, 2), np.ones(2, complex), 8)
+        y = period_samples(ToneGrid(32e6, 1e6, 2), np.ones(2, complex))
         assert y[0] == 2.0
 
     def test_quadrature_tone(self):
-        # a = j at 4 delta_f: y = -sin(2 pi 4 k / 16), a minimum at k = 1
-        y = period_samples(ToneGrid(4e6, 1e6, 1), np.array([1j]), 16)
-        np.testing.assert_allclose(y[:2], [0.0, -1.0], atol=1e-15)
+        # a = j at 2 delta_f on 8 (2 + 1) = 24 samples: y = -sin(2 pi 2 k / 24),
+        # a minimum at k = 3
+        y = period_samples(ToneGrid(2e6, 1e6, 1), np.array([1j]))
+        np.testing.assert_allclose(y[[0, 3]], [0.0, -1.0], atol=1e-15)
 
     def test_trailing_axes_shape(self):
-        grid = ToneGrid(32e6, 1e6, 3)
-        assert period_samples(grid, np.ones(3, complex), 17).shape == (17,)
-        assert period_samples(grid, np.ones((3, 2, 4), complex), 17).shape == (17, 2, 4)
+        # q0 = round(32.4) = 32, so 8 (q0 + N) = 8 * 35 samples
+        grid = ToneGrid(32.4e6, 1e6, 3)
+        assert period_samples(grid, np.ones(3, complex)).shape == (280,)
+        assert period_samples(grid, np.ones((3, 2, 4), complex)).shape == (280, 2, 4)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -140,26 +142,35 @@ class TestPeriodSamples:
             st.tuples(st.integers(1, 8), st.integers(1, 5)),
             elements=st.complex_numbers(max_magnitude=1e3, allow_nan=False),
         ),
-        q0=st.integers(0, 64),
-        extra=st.integers(0, 40),
+        q0=st.integers(4, 64),
     )
-    def test_matrix_is_its_columns_bit_for_bit(self, a, q0, extra):
+    def test_matrix_is_its_columns_bit_for_bit(self, a, q0):
+        # q0 >= 4 keeps N - 1 < 2 q0 for up to eight tones.
         grid = ToneGrid(q0 * 1e6 + 1e5, 1e6, a.shape[0])
-        samples = 1 + extra
-        y = period_samples(grid, a, samples)
+        y = period_samples(grid, a)
         for m in range(a.shape[1]):
-            assert y[:, m].tobytes() == period_samples(grid, a[:, m], samples).tobytes()
+            assert y[:, m].tobytes() == period_samples(grid, a[:, m]).tobytes()
 
     @pytest.mark.parametrize("shape", [(2,), (4, 3), ()])
     def test_amplitudes_of_another_tone_count_rejected(self, shape):
         grid = ToneGrid(32e6, 1e6, 3)
         with pytest.raises(ValueError, match=r"first axis of 3, the grid's tone count"):
-            period_samples(grid, np.ones(shape, complex), 64)
+            period_samples(grid, np.ones(shape, complex))
 
-    @pytest.mark.parametrize("samples", [0, -1, 2.0, True])
-    def test_sample_count_must_be_a_positive_integer(self, samples):
-        with pytest.raises(ValueError, match="samples must be an integer >= 1"):
-            period_samples(ToneGrid(32e6, 1e6, 1), np.ones(1, complex), samples)
+    @pytest.mark.parametrize(
+        "f0, n_tones, q0", [(1e6, 3, 1), (0.4e6, 1, 0), (2.6e6, 8, 3)]
+    )
+    def test_snapped_comb_rule(self, f0, n_tones, q0):
+        # N - 1 >= 2 q0 on the grid snapped to q0 = round(f0 / delta_f)
+        with pytest.raises(ValueError, match=f"snaps to q0 = {q0} harmonics"):
+            period_samples(ToneGrid(f0, 1e6, n_tones), np.ones(n_tones, complex))
+
+    @pytest.mark.parametrize("f0, delta_f", [(2.4e9, 1.0), (2.0**23, 1.0), (1e300, 1e-10)])
+    def test_too_fine_grid_rejected(self, f0, delta_f):
+        # 8 (q0 + 1) > 2^26 samples, the smallest such q0 = 2^23 included;
+        # f0 / delta_f = 1e310 overflows to inf.
+        with pytest.raises(ValueError, match="too fine"):
+            period_samples(ToneGrid(f0, delta_f, 1), np.ones(1, complex))
 
 
 class TestTxPower:
@@ -180,7 +191,7 @@ class TestTxPower:
             q0 = int(rng.integers(16, 65))
             grid = ToneGrid(q0 * 1e6, 1e6, n)
             weights = PrecoderWeights(crandn(rng, (n, m)), grid)
-            x = period_samples(grid, weights.w, 8 * (q0 + n))
+            x = period_samples(grid, weights.w)
             avg = float(np.mean(np.sum(x**2, axis=1)))
             worst = max(worst, abs(avg - tx_power(weights)) / tx_power(weights))
         assert worst <= 1e-9
