@@ -17,7 +17,7 @@ import os
 import sys
 
 from .channel import load_channel
-from .design import DEFAULT_BETA, SCHEME_KINDS, DesignScheme
+from .design import DEFAULT_BETA, DesignScheme
 from .design import apply_design, effective_channel
 from .fitlab import (
     PowerLawFit,
@@ -33,6 +33,7 @@ from .harness import (
     cdf_to_csv,
     config_from_mapping,
     load_config_file,
+    parse_config_value,
     run_cdf,
     run_sweep,
     sweep_to_csv,
@@ -75,7 +76,11 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _design_for_channel(args: argparse.Namespace):
-    scheme = DesignScheme(args.scheme, args.power, args.beta)
+    # --power and --beta parse as their config keys; an absent one keeps
+    # DesignScheme's default.
+    flags = {"power_budget": args.power, "beta": args.beta}
+    values = {k: parse_config_value(k, v) for k, v in flags.items() if v is not None}
+    scheme = DesignScheme(args.scheme, **values)
     channel = load_channel(args.channel)
     # A channel file holds no tone grid: it is designed on the default band.
     grid = ToneGrid.for_band(channel.n_tones)
@@ -197,13 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_channel_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--channel", required=True, help="channel file (JSON)")
-        p.add_argument("--scheme", required=True, choices=SCHEME_KINDS)
-        p.add_argument(
-            "--power", type=float, default=1.0, help="power budget (default 1.0)"
-        )
-        p.add_argument(
-            "--beta", type=float, default=DEFAULT_BETA, help="smf emphasis exponent"
-        )
+        p.add_argument("--scheme", required=True, help="one of cw, mrt, up, smf")
+        p.add_argument("--power", help="power budget in W (default 1)")
+        p.add_argument("--beta", help=f"smf exponent (default {DEFAULT_BETA:g})")
 
     p_design = sub.add_parser("design", help="design weights for a stored channel")
     add_channel_flags(p_design)
@@ -242,9 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--b", type=float,
         help="fitted exponent; attach a negative exponent-form value: --b=-2e-05",
     )
-    p_range.add_argument(
-        "--scheme", default="smf", choices=SCHEME_KINDS, help="reference curve scheme"
-    )
+    p_range.add_argument("--scheme", default="smf", help="reference curve scheme")
     p_range.add_argument("--tones", type=int, default=1)
     p_range.add_argument("--antennas", type=int, default=1)
     p_range.set_defaults(func=_cmd_range)

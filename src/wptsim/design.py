@@ -50,7 +50,11 @@ def check_power_budget(value: float, name: str = "power_budget") -> None:
 
 @dataclass(frozen=True)
 class DesignScheme:
-    """A named design plus the parameters needed to apply it."""
+    """A named design plus the parameters needed to apply it, and the one
+    statement of their rules, worded by config key: the kind is one of
+    `SCHEME_KINDS` ("schemes: unknown scheme 'x'"), the budget passes
+    `check_power_budget`, and smf, the one scheme reading beta, needs it
+    positive and finite."""
 
     kind: str
     power_budget: float = 1.0
@@ -58,7 +62,7 @@ class DesignScheme:
 
     def __post_init__(self) -> None:
         if self.kind not in SCHEME_KINDS:
-            raise ValueError(f"kind must be one of {SCHEME_KINDS}")
+            raise ValueError(f"schemes: unknown scheme {self.kind!r}")
         check_power_budget(self.power_budget)
         if self.kind == SMF:
             positive_finite(beta=self.beta)

@@ -25,17 +25,7 @@ from .channel import (
     sample_channel,
 )
 from .csi import CsiConfig, csi_loop_zdc
-from .design import (
-    DEFAULT_BETA,
-    DesignScheme,
-    MRT,
-    POWER_BUDGET_RULE,
-    SCHEME_KINDS,
-    SMF,
-    apply_design,
-    check_power_budget,
-    effective_channel,
-)
+from .design import DEFAULT_BETA, MRT, DesignScheme, apply_design, effective_channel
 from .rectifier import RectifierParams, check_comb, received_tones, z_dc
 from .signals import DEFAULT_BAND_LIMIT, DEFAULT_F0, ToneGrid, csv_text
 from .signals import integer_at_least, read_text
@@ -75,15 +65,15 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         """Raise ValueError "invalid experiment config: <problem>" for the first
-        problem, checking in a fixed order: schemes, tones, mrt/tones, antennas,
-        distances and their path loss, realizations, array sizes, seed,
-        power_budget, beta, f0, band_limit, then each tone count's grid."""
+        problem, checking in a fixed order: schemes, each built as its
+        `DesignScheme` with power_budget and beta, tones, mrt/tones, antennas,
+        distances and their path loss, realizations, array sizes, seed, f0,
+        band_limit, then each tone count's grid."""
         try:
             if not self.schemes:
                 raise ValueError("schemes: must list at least one scheme")
-            for s in self.schemes:
-                if s not in SCHEME_KINDS:
-                    raise ValueError(f"schemes: unknown scheme {s!r}")
+            for name in self.schemes:
+                self.scheme_obj(name)
             if not self.tone_counts:
                 raise ValueError("tones: must list at least one tone count")
             for n_tones in self.tone_counts:
@@ -126,14 +116,8 @@ class ExperimentConfig:
                     "exceed the largest array numpy can hold"
                 )
             integer_at_least(0, seed=self.seed)
-            try:
-                check_power_budget(self.power_budget)
-            except ValueError:
-                raise ValueError(f"power_budget: {POWER_BUDGET_RULE}") from None
-            for name in ("beta", "f0", "band_limit"):
-                # Only smf reads beta, as DesignScheme states.
-                unread = name == "beta" and SMF not in self.schemes
-                if not (unread or 0 < getattr(self, name) < np.inf):
+            for name in ("f0", "band_limit"):
+                if not 0 < getattr(self, name) < np.inf:
                     raise ValueError(f"{name}: must be positive and finite")
             for n_tones in tone_counts:
                 try:
@@ -397,6 +381,17 @@ CONFIG_KEYS = {
 }
 
 
+def parse_config_value(key: str, text: str):
+    """`text` parsed by `CONFIG_KEYS`' parser for `key`; an unknown key, or a
+    value its parser rejects, raises ValueError naming the key."""
+    if key not in CONFIG_KEYS:
+        raise ValueError(f"unknown config key {key!r}")
+    try:
+        return CONFIG_KEYS[key][2](text)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
+
+
 def config_from_mapping(values: dict[str, str]) -> ExperimentConfig:
     """Build an ExperimentConfig from string key/value pairs via `CONFIG_KEYS`.
 
@@ -405,13 +400,9 @@ def config_from_mapping(values: dict[str, str]) -> ExperimentConfig:
     """
     sections = {s: {} for s in ("experiment", "channel_model", "rectifier", "csi")}
     for key, raw in values.items():
-        if key not in CONFIG_KEYS:
-            raise ValueError(f"unknown config key {key!r}")
-        section, name, parse = CONFIG_KEYS[key]
-        try:
-            sections[section][name] = parse(raw)
-        except ValueError as exc:
-            raise ValueError(f"{key}: {exc}") from None
+        value = parse_config_value(key, raw)
+        section, name, _ = CONFIG_KEYS[key]
+        sections[section][name] = value
 
     model_fields = sections["channel_model"]
     if model_fields.pop("one_tap", False) and model_fields.setdefault("n_taps", 1) != 1:

@@ -114,6 +114,26 @@ class TestDesignAndZdc:
         value = float(capsys.readouterr().out.strip())
         assert value > 0
 
+    @pytest.mark.parametrize("command", ["design", "zdc"])
+    def test_absent_power_and_beta_keep_the_scheme_defaults(
+        self, tmp_path, capsys, command
+    ):
+        # An absent --power or --beta is not passed, so DesignScheme's 1 W and
+        # beta = 3 apply; beta = 2 shows that beta is read on four tones.
+        channel = tmp_path / "ch.json"
+        ch = sample_channel(ChannelModel(), ToneGrid.for_band(4), 2, seed=3)
+        save_channel(ch, str(channel))
+        outputs = []
+        for extra in ([], ["--power", "1", "--beta", "3"], ["--beta", "2"]):
+            out = tmp_path / f"w{len(outputs)}.json"
+            argv = [command, "--channel", str(channel), "--scheme", "smf", *extra]
+            if command == "design":
+                argv += ["--out", str(out)]
+            assert cli.main(argv) == 0
+            written = out.read_bytes() if command == "design" else b""
+            outputs.append((capsys.readouterr().out, written))
+        assert outputs[0] == outputs[1] != outputs[2]
+
     def test_zdc_has_no_out(self, channel_json, tmp_path, capsys):
         out = tmp_path / "z.txt"
         argv = ["zdc", "--channel", channel_json, "--scheme", "up", "--out", str(out)]
@@ -422,6 +442,47 @@ class TestSweepAndCdf:
         assert from_flag.err.startswith(f"error: {message}")
         assert from_flag.out == from_file.out == ""
 
+    @pytest.mark.parametrize("experiment", ["sweep", "cdf"])
+    @pytest.mark.parametrize("command", ["design", "zdc"])
+    @pytest.mark.parametrize(
+        "flag, key, value, message, validated",
+        [
+            ("--power", "power_budget", "1e400",
+             "power_budget: must be a finite number, got '1e400'", False),
+            ("--power", "power_budget", "abc",
+             "power_budget: could not convert string to float: 'abc'", False),
+            ("--beta", "beta", "1e400", "beta: must be a finite number, got '1e400'",
+             False),
+            ("--beta", "beta", "abc", "beta: could not convert string to float: 'abc'",
+             False),
+            ("--beta", "beta", "0", "beta must be positive and finite", True),
+            ("--scheme", "schemes", "bogus", "schemes: unknown scheme 'bogus'", True),
+        ],
+    )
+    def test_design_flag_is_read_as_its_config_key(
+        self, tmp_path, capsys, channel_json, experiment, command,
+        flag, key, value, message, validated,
+    ):
+        # design and zdc report a bad --power, --beta or --scheme as a sweep
+        # config key does; validate adds its prefix to what it finds.
+        settings = {"schemes": "smf", "tones": "1", "realizations": "1", key: value}
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+        weights = tmp_path / "weights.json"
+        flags = {"--scheme": "smf", flag: value}
+        argv = [command, "--channel", channel_json, *sum(flags.items(), ())]
+        if command == "design":
+            argv += ["--out", str(weights)]
+        assert cli.main(argv) == 1
+        from_flag = capsys.readouterr()
+        assert cli.main([experiment, "--config", str(cfg)]) == 1
+        from_file = capsys.readouterr()
+        prefix = "invalid experiment config: " if validated else ""
+        assert from_flag.err == f"error: {message}\n"
+        assert from_file.err == f"error: {prefix}{message}\n"
+        assert from_flag.out == from_file.out == ""
+        assert not weights.exists()
+
     def test_config_with_two_problems_names_the_first(self, tmp_path, capsys):
         # realizations comes before seed in check order; seed is not named.
         cfg = tmp_path / "run.cfg"
@@ -598,7 +659,7 @@ class TestBetaRule:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "error: invalid experiment config: beta: must be positive and finite\n"
+            "error: invalid experiment config: beta must be positive and finite\n"
         )
 
 
@@ -1020,11 +1081,13 @@ class TestFitAndRange:
         assert capsys.readouterr().out == baseline
 
     def test_range_unknown_scheme_rejected(self, capsys):
-        # The (1, 1) reference curve answers for every scheme, so an unknown
-        # one must be stopped by the parser.
+        # The (1, 1) reference curve answers only for the four SCHEME_KINDS,
+        # so paper_fit states the rule and names the lookup it could not make.
         assert cli.main(["range", "--scheme", "bogus", "--target", "1"]) == 1
         captured = capsys.readouterr()
-        assert "argument --scheme: invalid choice: 'bogus'" in captured.err
+        assert captured.err == (
+            "error: no reference curve for scheme='bogus', n_tones=1, m_antennas=1\n"
+        )
         assert captured.out == ""
 
     def test_half_specified_fit_rejected(self, capsys):

@@ -1,6 +1,7 @@
 """Rectifier moments against a brute-force oracle, plus the exact mean law."""
 
 import inspect
+import math
 import time
 
 import numpy as np
@@ -8,7 +9,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from wptsim.channel import ChannelRealization, complex_normal, make_rng
+from wptsim.channel import (
+    ChannelModel,
+    ChannelRealization,
+    complex_normal,
+    make_rng,
+    sample_channel,
+)
+from wptsim.design import DesignScheme, apply_design
 from wptsim.rectifier import (
     ReceivedTones,
     RectifierParams,
@@ -41,6 +49,14 @@ def moment4_exhaustive(a):
                     if n0 + n1 == n2 + n3:
                         total += a[n0] * a[n1] * np.conj(a[n2]) * np.conj(a[n3])
     return 0.375 * total.real
+
+
+def moment6(a):
+    """(5/16) ||a * a * a||^2, the period average of y^6 on a comb with
+    N - 1 < q0: the 3-against-3 tone sums n0 + n1 + n2 = n3 + n4 + n5 are
+    its only DC terms there, each with weight 5/16."""
+    c = np.convolve(np.convolve(a, a), a)
+    return 0.3125 * np.vdot(c, c).real
 
 
 # Zero or a magnitude in [1e-3, 1e3]: keeps fourth powers clear of underflow.
@@ -247,6 +263,68 @@ class TestTimeOracle:
         tones = make_tones([0.1 + 0j], f0=f0, delta_f=delta_f)
         with pytest.raises(ValueError, match="too fine"):
             z_dc_time_oracle(tones, PARAMS)
+
+
+class TestSixthMoment:
+    """The sixth-order term that the k2/k4 truncation drops, k6 R^3 m6, with
+    k6 = 0.4 k4^2 / k2 from the diode series that gives k2 and k4."""
+
+    @pytest.mark.parametrize("q0, n", [(8, 8), (1, 1), (3, 2), (17, 16)])
+    def test_closed_form_is_the_period_average(self, q0, n):
+        # The 8 (q0 + N) samples average y^6 exactly: its highest frequency,
+        # 6 (q0 + N - 1), stays below the sample count.
+        rng = make_rng(500 + n)
+        grid = ToneGrid(q0 * 1e3, 1e3, n)
+        worst = 0.0
+        for _ in range(50):
+            a = complex_normal(rng, n)
+            sampled = np.mean(period_samples(grid, a) ** 6)
+            worst = max(worst, abs(moment6(a) - sampled) / sampled)
+        assert worst <= 1e-14
+
+    @pytest.mark.parametrize("n", [2, 5, 8, 16])
+    def test_four_against_two_sums_reach_dc_at_q0_of_n_minus_one(self, n):
+        # At N - 1 = q0, which check_comb's N - 1 < 2 q0 admits, the sums
+        # 4 q0 - 2 (q0 + N - 1) of four tone 0s against two tone N - 1s reach
+        # DC and add (15/32) Re(a_0^4 conj(a_{N-1})^2) to the average.
+        rng = make_rng(600 + n)
+        grid = ToneGrid((n - 1) * 1e3, 1e3, n)
+        worst = 0.0
+        for _ in range(50):
+            a = complex_normal(rng, n)
+            sampled = np.mean(period_samples(grid, a) ** 6)
+            beat = 15 / 32 * (a[0] ** 4 * np.conj(a[-1]) ** 2).real
+            assert moment6(a) + beat == pytest.approx(sampled, rel=1e-13, abs=0)
+            worst = max(worst, abs(moment6(a) - sampled) / sampled)
+        assert worst > 1e-6  # far above the rounding where N - 1 < q0
+
+    def test_k6_follows_the_diode_series(self):
+        # k_i = i_s / (i! (n v_t)^i), with i_s = 5 uA, n = 1.05, v_t = 25.86 mV.
+        nvt = 1.05 * 25.86e-3
+        k2, k4, k6 = (5e-6 / (math.factorial(i) * nvt**i) for i in (2, 4, 6))
+        assert (k2, k4) == pytest.approx((PARAMS.k2, PARAMS.k4), rel=3e-3)
+        assert k6 == pytest.approx(0.4 * k4**2 / k2, rel=1e-13)
+
+    @pytest.mark.parametrize("kind, n, m", [("smf", 8, 1), ("mrt", 1, 8), ("up", 4, 2)])
+    def test_terms_grow_as_powers_of_the_budget(self, kind, n, m):
+        # At a fixed channel the tones scale as sqrt(p), so term4 / term2
+        # grows as p and term6 / term2 as p^2.
+        grid = ToneGrid.for_band(n)
+        channel = sample_channel(ChannelModel(), grid, m, seed=7, distance=2.0)
+        k6 = 0.4 * PARAMS.k4**2 / PARAMS.k2
+        r = PARAMS.r_ant
+        ratios = []
+        for p in (1e-3, 1.0):
+            weights = apply_design(DesignScheme(kind, p), channel, grid)
+            tones = received_tones(weights, channel)
+            term2 = PARAMS.k2 * r * moment2(tones)
+            ratios.append((
+                PARAMS.k4 * r**2 * moment4(tones) / term2,
+                k6 * r**3 * moment6(tones.a) / term2,
+            ))
+        (low4, low6), (high4, high6) = ratios
+        assert high4 == pytest.approx(1e3 * low4, rel=1e-12)
+        assert high6 == pytest.approx(1e6 * low6, rel=1e-12)
 
 
 class TestScalingLaws:
