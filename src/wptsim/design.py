@@ -34,18 +34,16 @@ DEFAULT_BETA = 3.0
 
 # The designs compute 2 * power_budget, which overflows a float above this.
 MAX_POWER_BUDGET = np.finfo(float).max / 2
-POWER_BUDGET_RULE = (
-    f"must be positive and finite, and at most {MAX_POWER_BUDGET:.9g} "
-    "since the designs double it"
-)
 
 
 def check_power_budget(value: float, name: str = "power_budget") -> None:
-    """Reject a budget outside (0, MAX_POWER_BUDGET], naming it `name`:
-    `positive_finite` states the (0, inf) part, POWER_BUDGET_RULE the bound."""
-    positive_finite(**{name: value})
-    if value > MAX_POWER_BUDGET:
-        raise ValueError(f"{name}: {POWER_BUDGET_RULE}")
+    """Reject a budget outside (0, MAX_POWER_BUDGET], nan included, with the
+    one message "<name> must be positive and at most ..."."""
+    if not 0 < value <= MAX_POWER_BUDGET:
+        raise ValueError(
+            f"{name} must be positive and at most {MAX_POWER_BUDGET:.9g}, "
+            "since the designs double it"
+        )
 
 
 @dataclass(frozen=True)

@@ -64,70 +64,61 @@ class ExperimentConfig:
     out_path: str | None = None
 
     def validate(self) -> None:
-        """Raise ValueError "invalid experiment config: <problem>" for the first
-        problem, checking in a fixed order: schemes, each built as its
-        `DesignScheme` with power_budget and beta, tones, mrt/tones, antennas,
-        distances and their path loss, realizations, array sizes, seed, f0,
-        band_limit, then each tone count's grid."""
-        try:
-            if not self.schemes:
-                raise ValueError("schemes: must list at least one scheme")
-            for name in self.schemes:
-                self.scheme_obj(name)
-            if not self.tone_counts:
-                raise ValueError("tones: must list at least one tone count")
-            for n_tones in self.tone_counts:
-                integer_at_least(1, tones=n_tones)
-            # Python ints: a numpy count may overflow the size products below.
-            tone_counts = sorted(set(map(int, self.tone_counts)))
-            if MRT in self.schemes and tone_counts[-1] > 1:
-                raise ValueError(
-                    "schemes/tones: mrt requires n_tones = 1; run it separately "
-                    "from multi-tone sweeps"
-                )
-            if not self.antenna_counts:
-                raise ValueError("antennas: must list at least one antenna count")
-            for m_antennas in self.antenna_counts:
-                integer_at_least(1, antennas=m_antennas)
-            if not self.distances:
-                raise ValueError("distances: must list at least one distance")
-            for distance in self.distances:
-                try:
-                    path_loss(self.channel_model, distance)
-                except ValueError as exc:
-                    raise ValueError(f"distances: {exc}") from None
-            integer_at_least(1, realizations=self.realizations)
-            realizations = int(self.realizations)
-            if realizations * len(set(self.distances)) * 8 > _MAX_ARRAY_BYTES:
-                raise ValueError(
-                    "realizations: one value per realization and distance exceeds "
-                    "the largest array numpy can hold"
-                )
-            n_max, m_max = tone_counts[-1], max(map(int, self.antenna_counts))
-            if min(realizations, BLOCK_SIZE) * n_max * m_max * 16 > _MAX_ARRAY_BYTES:
-                raise ValueError(
-                    "tones/antennas: a block of channels (realizations x tones x "
-                    f"antennas, at most {BLOCK_SIZE} realizations) exceeds the "
-                    "largest array numpy can hold"
-                )
-            if self.channel_model.n_taps * max(n_max, m_max) * 16 > _MAX_ARRAY_BYTES:
-                raise ValueError(
-                    "n_taps: the tap arrays (tones x n_taps, n_taps x antennas) "
-                    "exceed the largest array numpy can hold"
-                )
-            integer_at_least(0, seed=self.seed)
-            for name in ("f0", "band_limit"):
-                if not 0 < getattr(self, name) < np.inf:
-                    raise ValueError(f"{name}: must be positive and finite")
-            for n_tones in tone_counts:
-                try:
-                    grid = self.grid_for(n_tones)
-                except ValueError as exc:
-                    raise ValueError(f"band_limit: {exc}") from None
-                check_comb(grid)
-                check_steering(self.channel_model, grid)
-        except ValueError as exc:
-            raise ValueError(f"invalid experiment config: {exc}") from None
+        """Raise ValueError "<key> ..." for the first problem, checking in a
+        fixed order: schemes, each built as its `DesignScheme` with
+        power_budget and beta, tones, mrt/tones, antennas, distances and their
+        path loss, realizations, array sizes, seed, then each tone count's
+        grid, whose `ToneGrid.for_band` states the f0 and band_limit rules."""
+        if not self.schemes:
+            raise ValueError("schemes: must list at least one scheme")
+        for name in self.schemes:
+            self.scheme_obj(name)
+        if not self.tone_counts:
+            raise ValueError("tones: must list at least one tone count")
+        for n_tones in self.tone_counts:
+            integer_at_least(1, tones=n_tones)
+        # Python ints: a numpy count may overflow the size products below.
+        tone_counts = sorted(set(map(int, self.tone_counts)))
+        if MRT in self.schemes and tone_counts[-1] > 1:
+            raise ValueError(
+                "schemes/tones: mrt requires n_tones = 1; run it separately "
+                "from multi-tone sweeps"
+            )
+        if not self.antenna_counts:
+            raise ValueError("antennas: must list at least one antenna count")
+        for m_antennas in self.antenna_counts:
+            integer_at_least(1, antennas=m_antennas)
+        if not self.distances:
+            raise ValueError("distances: must list at least one distance")
+        for distance in self.distances:
+            try:
+                path_loss(self.channel_model, distance)
+            except ValueError as exc:
+                raise ValueError(f"distances: {exc}") from None
+        integer_at_least(1, realizations=self.realizations)
+        realizations = int(self.realizations)
+        if realizations * len(set(self.distances)) * 8 > _MAX_ARRAY_BYTES:
+            raise ValueError(
+                "realizations: one value per realization and distance exceeds "
+                "the largest array numpy can hold"
+            )
+        n_max, m_max = tone_counts[-1], max(map(int, self.antenna_counts))
+        if min(realizations, BLOCK_SIZE) * n_max * m_max * 16 > _MAX_ARRAY_BYTES:
+            raise ValueError(
+                "tones/antennas: a block of channels (realizations x tones x "
+                f"antennas, at most {BLOCK_SIZE} realizations) exceeds the "
+                "largest array numpy can hold"
+            )
+        if self.channel_model.n_taps * max(n_max, m_max) * 16 > _MAX_ARRAY_BYTES:
+            raise ValueError(
+                "n_taps: the tap arrays (tones x n_taps, n_taps x antennas) "
+                "exceed the largest array numpy can hold"
+            )
+        integer_at_least(0, seed=self.seed)
+        for n_tones in tone_counts:
+            grid = self.grid_for(n_tones)
+            check_comb(grid)
+            check_steering(self.channel_model, grid)
 
     def grid_for(self, n_tones: int) -> ToneGrid:
         return ToneGrid.for_band(n_tones, f0=self.f0, band_limit=self.band_limit)
@@ -329,13 +320,6 @@ def _parse_bool(value: str) -> bool:
     raise ValueError(f"expected a boolean, got {value!r}")
 
 
-def _parse_finite(value: str) -> float:
-    number = float(value)
-    if not np.isfinite(number):
-        raise ValueError(f"must be a finite number, got {value!r}")
-    return number
-
-
 def _parse_channel_kind(value: str) -> bool:
     """True for frequency_flat, the one-tap channel; False for tapped_delay."""
     if value not in ("frequency_flat", "tapped_delay"):
@@ -353,31 +337,32 @@ def _list_of(kind):
 # config key -> (section, field, parser).  A section other than "experiment"
 # names the ExperimentConfig field holding that sub-config; csi "enabled" and
 # channel_model "one_tap" (frequency_flat sets n_taps = 1) are flags only.
+# A parser reads the type alone: the class holding a value checks its range.
 CONFIG_KEYS = {
     "schemes": ("experiment", "schemes", _list_of(str)),
     "tones": ("experiment", "tone_counts", _list_of(int)),
     "antennas": ("experiment", "antenna_counts", _list_of(int)),
-    "distances": ("experiment", "distances", _list_of(_parse_finite)),
+    "distances": ("experiment", "distances", _list_of(float)),
     "realizations": ("experiment", "realizations", int),
     "seed": ("experiment", "seed", int),
-    "power_budget": ("experiment", "power_budget", _parse_finite),
-    "beta": ("experiment", "beta", _parse_finite),
-    "f0": ("experiment", "f0", _parse_finite),
-    "band_limit": ("experiment", "band_limit", _parse_finite),
+    "power_budget": ("experiment", "power_budget", float),
+    "beta": ("experiment", "beta", float),
+    "f0": ("experiment", "f0", float),
+    "band_limit": ("experiment", "band_limit", float),
     "out": ("experiment", "out_path", str),
     "channel_kind": ("channel_model", "one_tap", _parse_channel_kind),
     "n_taps": ("channel_model", "n_taps", int),
-    "delay_spread": ("channel_model", "delay_spread", _parse_finite),
-    "pdp_decay": ("channel_model", "pdp_decay", _parse_finite),
-    "path_loss_ref": ("channel_model", "path_loss_ref", _parse_finite),
-    "path_loss_exponent": ("channel_model", "path_loss_exponent", _parse_finite),
-    "k2": ("rectifier", "k2", _parse_finite),
-    "k4": ("rectifier", "k4", _parse_finite),
-    "r_ant": ("rectifier", "r_ant", _parse_finite),
+    "delay_spread": ("channel_model", "delay_spread", float),
+    "pdp_decay": ("channel_model", "pdp_decay", float),
+    "path_loss_ref": ("channel_model", "path_loss_ref", float),
+    "path_loss_exponent": ("channel_model", "path_loss_exponent", float),
+    "k2": ("rectifier", "k2", float),
+    "k4": ("rectifier", "k4", float),
+    "r_ant": ("rectifier", "r_ant", float),
     "csi_enabled": ("csi", "enabled", _parse_bool),
-    "noise_variance": ("csi", "noise_variance", _parse_finite),
+    "noise_variance": ("csi", "noise_variance", float),
     "quant_bits": ("csi", "quant_bits_per_component", int),
-    "acquisition_time": ("csi", "acquisition_time", _parse_finite),
+    "acquisition_time": ("csi", "acquisition_time", float),
 }
 
 
@@ -396,7 +381,8 @@ def config_from_mapping(values: dict[str, str]) -> ExperimentConfig:
     """Build an ExperimentConfig from string key/value pairs via `CONFIG_KEYS`.
 
     Unknown keys are rejected by name; type errors name the offending key.
-    Numeric validation beyond parsing happens in `ExperimentConfig.validate`.
+    The sub-configs check their settings' ranges as they are built, and
+    `ExperimentConfig.validate` the rest; each message begins with the key.
     """
     sections = {s: {} for s in ("experiment", "channel_model", "rectifier", "csi")}
     for key, raw in values.items():

@@ -13,7 +13,8 @@ Every CSV table the program reads or writes goes through `csv_text` and
 `read_csv_entries`, and every text file it reads through `read_text`.
 `positive_finite` checks every positive, finite setting, `integer_at_least`
 every count, and `frozen_complex` builds every complex array a value class
-holds.
+holds.  The class or function holding a value states its rule once, and
+the message begins with the value's name (its config key, where it has one).
 """
 
 from __future__ import annotations
@@ -98,11 +99,18 @@ class ToneGrid:
         band_limit: float = DEFAULT_BAND_LIMIT,
     ) -> "ToneGrid":
         """Grid whose tones evenly fill the band; the spacing steps down one ulp
-        where the occupied bandwidth would round above `band_limit`."""
+        where the occupied bandwidth would round above `band_limit`, and a
+        band too narrow for a positive spacing is rejected by name."""
         integer_at_least(1, n_tones=n_tones)
+        positive_finite(f0=f0, band_limit=band_limit)
         delta_f = band_limit / (n_tones - 1) if n_tones > 1 else band_limit
         if (n_tones - 1) * delta_f > band_limit:
             delta_f = math.nextafter(delta_f, 0.0)
+        if delta_f == 0.0:
+            raise ValueError(
+                f"band_limit {band_limit:g} Hz is too narrow for {n_tones} tones: "
+                "their spacing rounds to 0"
+            )
         return cls(f0=f0, delta_f=delta_f, n_tones=n_tones)
 
 

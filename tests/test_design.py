@@ -38,6 +38,13 @@ def grid_of(channel):
     return ToneGrid.for_band(channel.n_tones)
 
 
+def budget_error(name):
+    return (
+        f"{name} must be positive and at most 8.98846567e+307, "
+        "since the designs double it"
+    )
+
+
 def random_channel(rng, n_tones, m_antennas, **kwargs):
     h = complex_normal(rng, (n_tones, m_antennas))
     return ChannelRealization(h=h, path_loss=kwargs.get("path_loss", 1.0))
@@ -366,15 +373,20 @@ class TestScheme:
     @pytest.mark.parametrize("name", ["power_budget", "beta"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_rejected_naming_field(self, name, value):
-        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        with pytest.raises(ValueError) as err:
             DesignScheme(kind="smf", **{name: value})
+        assert str(err.value) == (
+            budget_error("power_budget") if name == "power_budget"
+            else "beta must be positive and finite"
+        )
 
     @pytest.mark.parametrize("kind", ["cw", "mrt", "up", "smf"])
     def test_power_budget_whose_double_overflows_rejected(self, kind):
         DesignScheme(kind=kind, power_budget=MAX_POWER_BUDGET)
         too_large = math.nextafter(float(MAX_POWER_BUDGET), math.inf)
-        with pytest.raises(ValueError, match="power_budget: .* at most"):
+        with pytest.raises(ValueError) as err:
             DesignScheme(kind=kind, power_budget=too_large)
+        assert str(err.value) == budget_error("power_budget")
 
     @pytest.mark.parametrize(
         "design",
@@ -389,8 +401,9 @@ class TestScheme:
     def test_designs_reject_a_budget_above_the_bound_naming_p(self, design):
         design(MAX_POWER_BUDGET)
         too_large = math.nextafter(float(MAX_POWER_BUDGET), math.inf)
-        with pytest.raises(ValueError, match=r"^p: .* at most 8\.98846567e\+307"):
+        with pytest.raises(ValueError) as err:
             design(too_large)
+        assert str(err.value) == budget_error("p")
 
     def test_power_budget_bound_is_the_largest_doubling(self):
         bound = float(MAX_POWER_BUDGET)

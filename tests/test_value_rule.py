@@ -37,28 +37,41 @@ WEIGHTS = PrecoderWeights(np.ones((2, 2)), GRID2)
 PARAMS = RectifierParams()
 FIT = PowerLawFit(8.0, -1.5)
 
-# (name of the checked argument, call with that argument set to the value)
+FINITE = "must be positive and finite"
+# A design doubles its budget, so the budget rule also bounds it above.
+BUDGET = "must be positive and at most 8.98846567e+307, since the designs double it"
+
+# (name of the checked argument, its rule, call with it set to the value)
 CALLS = {
-    "design_cw": ("p", lambda v: design_cw(v, GRID1)),
-    "design_mrt": ("p", lambda v: design_mrt(ONE_TONE, v, GRID1)),
-    "design_up": ("p", lambda v: design_up(CHANNEL, v, GRID2)),
-    "design_smf/p": ("p", lambda v: design_smf(CHANNEL, v, GRID2)),
-    "design_smf/beta": ("beta", lambda v: design_smf(CHANNEL, 1.0, GRID2, beta=v)),
-    "scaling_law_ca/path_loss": (
-        "path_loss", lambda v: scaling_law_ca(PARAMS, v, 1.0, 8, 2)
+    "design_cw": ("p", BUDGET, lambda v: design_cw(v, GRID1)),
+    "design_mrt": ("p", BUDGET, lambda v: design_mrt(ONE_TONE, v, GRID1)),
+    "design_up": ("p", BUDGET, lambda v: design_up(CHANNEL, v, GRID2)),
+    "design_smf/p": ("p", BUDGET, lambda v: design_smf(CHANNEL, v, GRID2)),
+    "design_smf/beta": (
+        "beta", FINITE, lambda v: design_smf(CHANNEL, 1.0, GRID2, beta=v)
     ),
-    "scaling_law_ca/p": ("p", lambda v: scaling_law_ca(PARAMS, 263.0, v, 8, 2)),
-    "invert_range": ("p_target", lambda v: invert_range(FIT, v)),
-    "path_loss": ("distance", lambda v: path_loss(ChannelModel(), v)),
+    "scaling_law_ca/path_loss": (
+        "path_loss", FINITE, lambda v: scaling_law_ca(PARAMS, v, 1.0, 8, 2)
+    ),
+    "scaling_law_ca/p": (
+        "p", FINITE, lambda v: scaling_law_ca(PARAMS, 263.0, v, 8, 2)
+    ),
+    "invert_range": ("p_target", FINITE, lambda v: invert_range(FIT, v)),
+    "path_loss": ("distance", FINITE, lambda v: path_loss(ChannelModel(), v)),
+    "ToneGrid.for_band/f0": ("f0", FINITE, lambda v: ToneGrid.for_band(8, f0=v)),
+    "ToneGrid.for_band/band_limit": (
+        "band_limit", FINITE, lambda v: ToneGrid.for_band(8, band_limit=v)
+    ),
 }
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
 @pytest.mark.parametrize("call", sorted(CALLS))
 def test_arguments_outside_the_rule_are_named(call, value):
-    name, run = CALLS[call]
-    with pytest.raises(ValueError, match=f"^{name} must be positive and finite$"):
+    name, rule, run = CALLS[call]
+    with pytest.raises(ValueError) as err:
         run(value)
+    assert str(err.value) == f"{name} {rule}"
 
 
 class TestPositiveFinite:
